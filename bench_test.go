@@ -245,7 +245,7 @@ func BenchmarkFig4bErrorDecomposition(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sampling.EstimateSumFromMoments(moments, 20000, 0.95); err != nil {
+		if _, err := sampling.EstimateSumFromMoments(&moments, 20000, 0.95); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -237,7 +237,10 @@ type queryState struct {
 	qidWire    uint64
 	// qname is the query ID rendered once at registration, so fire
 	// spans and labeled telemetry samples never format on a hot path.
-	qname    string
+	qname string
+	// labels are the bucket labels rendered once at registration, for
+	// the same reason: estimates copy them into every fired window.
+	labels   []string
 	nbuckets int
 	ord      int   // registration index, for deterministic result order
 	seed     int64 // effective estimator seed, recorded for checkpoint verification
@@ -467,6 +470,7 @@ func (a *Aggregator) AddQuery(spec QuerySpec) error {
 		confidence: spec.Confidence,
 		qidWire:    wire,
 		qname:      spec.Query.QID.String(),
+		labels:     spec.Query.Buckets.Labels(),
 		nbuckets:   len(spec.Query.Buckets),
 		// ord comes from a monotonic counter, not len(ordered): after a
 		// removal the next registration must still sort after every
@@ -1174,8 +1178,9 @@ func (a *Aggregator) estimateWithPopulation(st *queryState, w stream.Window, acc
 		Population: effPopulation,
 		Inverted:   st.q.Inverted,
 		Shed:       st.loadShed(),
+		Buckets:    make([]BucketEstimate, 0, st.nbuckets),
 	}
-	for i, label := range st.q.Buckets.Labels() {
+	for i, label := range st.labels {
 		be := BucketEstimate{Label: label, ObservedYes: acc.Yes(i)}
 		if n == 0 {
 			be.Estimate = stats.ConfidenceInterval{Confidence: st.confidence, Margin: math.Inf(1)}
@@ -1205,7 +1210,7 @@ func (a *Aggregator) estimateWithPopulation(st *queryState, w stream.Window, acc
 		if err != nil {
 			return Result{}, err
 		}
-		srs, err := sampling.EstimateSumFromMoments(moments, effPopulation, st.confidence)
+		srs, err := sampling.EstimateSumFromMoments(&moments, effPopulation, st.confidence)
 		if err != nil {
 			return Result{}, err
 		}

@@ -15,7 +15,7 @@ import (
 
 var testOrigin = time.Unix(1_700_000_000, 0)
 
-func testQuery(t *testing.T, nbuckets int) *query.Query {
+func testQuery(t testing.TB, nbuckets int) *query.Query {
 	t.Helper()
 	buckets, err := query.UniformRanges(0, float64(nbuckets), nbuckets, false)
 	if err != nil {
@@ -33,7 +33,7 @@ func testQuery(t *testing.T, nbuckets int) *query.Query {
 	}
 }
 
-func testConfig(t *testing.T, nbuckets int, params budget.Params, population int) Config {
+func testConfig(t testing.TB, nbuckets int, params budget.Params, population int) Config {
 	t.Helper()
 	return Config{
 		Query:      testQuery(t, nbuckets),

@@ -97,7 +97,7 @@ func BatchAnalyze(cfg Config, src AnswerSource, from, to time.Time, secondSampli
 			if err != nil {
 				return BatchResult{}, err
 			}
-			second, err := sampling.EstimateSumFromMoments(moments, out.Scanned, st.confidence)
+			second, err := sampling.EstimateSumFromMoments(&moments, out.Scanned, st.confidence)
 			if err != nil {
 				return BatchResult{}, err
 			}

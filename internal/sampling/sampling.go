@@ -198,20 +198,19 @@ func EstimateCount(yes, n, population int, confidence float64) (SumEstimate, err
 
 // BinomialMoments returns a Running accumulator equivalent to observing
 // yes ones and n-yes zeros, without the O(n) loop. Useful for large
-// windows at the aggregator.
-func BinomialMoments(yes, n int) (*stats.Running, error) {
+// windows at the aggregator. It returns the accumulator by value so a
+// per-bucket estimate keeps it on the caller's stack.
+func BinomialMoments(yes, n int) (stats.Running, error) {
 	if n < 0 || yes < 0 || yes > n {
-		return nil, fmt.Errorf("sampling: invalid counts yes=%d n=%d", yes, n)
+		return stats.Running{}, fmt.Errorf("sampling: invalid counts yes=%d n=%d", yes, n)
 	}
-	var acc stats.Running
 	if n == 0 {
-		return &acc, nil
+		return stats.Running{}, nil
 	}
 	// Construct moments directly: mean = yes/n, M2 = Σ(x-mean)².
 	mean := float64(yes) / float64(n)
 	m2 := float64(yes)*(1-mean)*(1-mean) + float64(n-yes)*mean*mean
-	acc = stats.FromRaw(int64(n), mean, m2, float64(yes), minBit(yes, n), maxBit(yes))
-	return &acc, nil
+	return stats.FromRaw(int64(n), mean, m2, float64(yes), minBit(yes, n), maxBit(yes)), nil
 }
 
 func minBit(yes, n int) float64 {

@@ -239,7 +239,7 @@ func TestBinomialMomentsMatchesLoop(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		est1, err1 := EstimateSumFromMoments(acc, n*2+10, 0.9)
+		est1, err1 := EstimateSumFromMoments(&acc, n*2+10, 0.9)
 		est2, err2 := EstimateCount(yes, n, n*2+10, 0.9)
 		if n == 0 {
 			return err1 != nil && err2 != nil

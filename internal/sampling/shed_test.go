@@ -115,7 +115,7 @@ func TestEstimatorUnbiasedUnderTimeVaryingShed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := EstimateSumFromMoments(moments, population, 0.95)
+		est, err := EstimateSumFromMoments(&moments, population, 0.95)
 		if err != nil {
 			t.Fatalf("epoch %d (n=%d): %v", e, n, err)
 		}
@@ -147,7 +147,7 @@ func TestMarginGrowsAsShedTightens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := EstimateSumFromMoments(moments, population, 0.95)
+		est, err := EstimateSumFromMoments(&moments, population, 0.95)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"sync"
 )
 
 // ErrInvalidParam reports an out-of-domain distribution parameter.
@@ -244,9 +245,60 @@ func StudentTQuantile(p, df float64) (float64, error) {
 // TCritical returns the two-sided critical value t_{1-alpha/2, df} used in
 // the paper's Eq. 3 error bound. For example alpha = 0.05 gives the 95%
 // confidence multiplier.
+//
+// The value is a pure function of (alpha, df), and every fired window
+// asks for it once per bucket, so it is memoized process-wide: a repeat
+// call returns the exact float64 StudentTQuantile computed, without
+// allocating. The memo holds no seed or rng state, which is why
+// checkpoints neither store nor need it.
 func TCritical(alpha float64, df int) (float64, error) {
-	if alpha <= 0 || alpha >= 1 || df < 1 {
+	return tcritMemo.get(alpha, df)
+}
+
+// tcritMemoCap bounds the process-wide memo. Its keys are the
+// confidence levels in use times the response counts windows actually
+// hold, a few hundred in practice; a full memo keeps serving its
+// entries and computes new keys without storing them.
+const tcritMemoCap = 4096
+
+var tcritMemo = newTMemo(tcritMemoCap)
+
+type tKey struct {
+	alpha float64
+	df    int
+}
+
+// tMemo memoizes TCritical up to a fixed number of entries; past the
+// cap it computes without storing. Invalid arguments are never stored.
+type tMemo struct {
+	mu    sync.RWMutex
+	m     map[tKey]float64
+	limit int
+}
+
+func newTMemo(limit int) *tMemo {
+	return &tMemo{m: make(map[tKey]float64), limit: limit}
+}
+
+func (c *tMemo) get(alpha float64, df int) (float64, error) {
+	if !(alpha > 0 && alpha < 1) || df < 1 {
 		return 0, ErrInvalidParam
 	}
-	return StudentTQuantile(1-alpha/2, float64(df))
+	k := tKey{alpha, df}
+	c.mu.RLock()
+	v, ok := c.m[k]
+	c.mu.RUnlock()
+	if ok {
+		return v, nil
+	}
+	v, err := StudentTQuantile(1-alpha/2, float64(df))
+	if err != nil {
+		return 0, err
+	}
+	c.mu.Lock()
+	if len(c.m) < c.limit {
+		c.m[k] = v
+	}
+	c.mu.Unlock()
+	return v, nil
 }
