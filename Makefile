@@ -14,7 +14,7 @@ RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... 
 # the batch-size sweep of the columnar submit tail.
 HOTPATH_BENCH = BenchmarkTable2CryptoXOR|BenchmarkTable3ClientXOREncryption|BenchmarkTable3ClientRandomizedResponse|BenchmarkFig8Scalability|BenchmarkFig8SubmitBatch
 
-.PHONY: ci fmt vet build test race smoke multiquery allocgate crash surge chaos obsgate lineage bench bench-json fuzz
+.PHONY: ci fmt vet build test race smoke multiquery allocgate crash surge chaos obsgate lineage bench bench-json fuzz loc
 
 ci: fmt vet build test race allocgate multiquery smoke crash surge chaos obsgate lineage
 
@@ -149,3 +149,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQuerySetRoundTrip -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzWALRecordRoundTrip -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzSLOControllerRestore -fuzztime 10s ./internal/budget
+
+# Non-test Go source lines over the tracked files, excluding perfbench/
+# (the benchmark harness). A size gauge for the lean-design aim, not a
+# gate: not part of `make ci`.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l

@@ -444,9 +444,9 @@ func runClient(args []string) error {
 	// Provenance stamping: the answer-stream batcher (proxy 0) stamps
 	// every flush with its origin context, published over the lineage
 	// sidecar topic. One stamped stream per process is enough — every
-	// batcher flushes the same logical answers — and against a fleet
-	// that doesn't advertise the lineage feature SupportsLineage is
-	// false, so v1 proxies see exactly the v1 traffic.
+	// batcher flushes the same logical answers. SupportsLineage is false
+	// only behind a wrapper that hides the capability (chaos.Transport);
+	// the node dials plain clients, so every flush here is stamped.
 	processStart := time.Now()
 	if px := fleet.Proxy(0); px.SupportsLineage() {
 		group := uint32(*offset)

@@ -729,13 +729,11 @@ func (a *Aggregator) submitLocked(js *joinShard, share xorcrypt.Share, source in
 // — within an epoch all event times of one query are equal, so the
 // drain goroutines run the sharded adds without ever touching fireMu.
 //
-// ingest/isLate/observe/fireLocked intentionally fork the windowing
-// semantics of stream.WindowedOp + stream.WatermarkTracker (watermark =
-// max event time − lateness, strict-Before late check, fire on window
-// End ≤ watermark, start-ordered results) into this sharded,
-// concurrency-safe form; the stream package keeps the generic
-// single-threaded operator. A semantic change to either must be made in
-// both.
+// ingest/isLate/observe/fireLocked are the system's windowing operator,
+// in sharded, concurrency-safe form. The watermark is the max observed
+// event time − lateness; an answer is late when its event time is
+// strictly Before the watermark; a window fires once its End ≤
+// watermark; fired results are ordered by window start.
 func (a *Aggregator) ingest(js *joinShard, st *queryState, eventTime time.Time, vec *answer.BitVector, shard int) ([]Result, error) {
 	if st.isLate(eventTime) {
 		// A late event can never advance the watermark, so nothing can
@@ -795,10 +793,9 @@ func (a *Aggregator) ingest(js *joinShard, st *queryState, eventTime time.Time, 
 // for the window arithmetic anyway).
 const wmUnseen = math.MinInt64
 
-// isLate, observe, and watermark implement the watermark tracker over
-// one atomic so the sharded add path reads it without any lock
-// (matching stream.WatermarkTracker semantics: watermark = max event
-// time − lateness).
+// isLate, observe, and watermark implement the watermark (max event
+// time − lateness) over one atomic, so the sharded add path reads it
+// without any lock.
 func (st *queryState) isLate(t time.Time) bool {
 	m := st.wmMax.Load()
 	return m != wmUnseen && t.Before(time.Unix(0, m).Add(-st.lateness))

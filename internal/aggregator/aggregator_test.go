@@ -435,3 +435,61 @@ func TestEmptyWindowHasInfiniteMargin(t *testing.T) {
 		t.Errorf("RelativeWidth = %v", w)
 	}
 }
+
+// TestWindowingSemantics pins the aggregator's windowing operator: the
+// watermark is the max observed event time − lateness and never
+// regresses, an answer is late only when strictly Before it, a window
+// fires once its End ≤ watermark, and fired results come out ordered by
+// window start.
+func TestWindowingSemantics(t *testing.T) {
+	params := budget.Params{S: 1, RR: rr.Params{P: 1, Q: 0.5}}
+	cfg := testConfig(t, 2, params, 100)
+	cfg.Query.Frequency = time.Second // epoch e is event time origin+e s
+	cfg.Lateness = 2 * time.Second
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, _ := xorcrypt.NewSplitter(2, nil, nil)
+	qid := cfg.Query.QID.Uint64()
+	submit := func(epoch uint64) []Result { return submitMessage(t, a, sp, qid, epoch, 0, 2) }
+	at := func(s int) time.Time { return testOrigin.Add(time.Duration(s) * time.Second) }
+
+	// Watermark origin+0 after epoch 2: [0s, 4s) stays open.
+	for e := uint64(0); e < 3; e++ {
+		if res := submit(e); len(res) != 0 {
+			t.Fatalf("epoch %d fired %d windows early", e, len(res))
+		}
+	}
+	// Epoch 6 moves the watermark to exactly 4s = End of [0s, 4s).
+	res := submit(6)
+	if len(res) != 1 || !res[0].Window.Start.Equal(at(0)) || res[0].Responses != 3 {
+		t.Fatalf("watermark at window end fired %+v, want [0s,4s) with 3 responses", res)
+	}
+	// Event time 4s equals the watermark: on time. 3s is behind it: late.
+	submit(4)
+	submit(3)
+	if got := a.Dropped(); got != 1 {
+		t.Fatalf("Dropped = %d, want 1 (only the strictly-late answer)", got)
+	}
+	// An older in-window answer does not pull the watermark back.
+	submit(5)
+	submit(3)
+	if got := a.Dropped(); got != 2 {
+		t.Fatalf("Dropped = %d after a regressing observation, want 2", got)
+	}
+	// Watermark 7s: [4s, 8s) is still open.
+	if res := submit(9); len(res) != 0 {
+		t.Fatalf("watermark 7s fired %+v", res)
+	}
+	res, err = a.AdvanceTo(at(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 2 || !res[0].Window.Start.Equal(at(4)) || !res[1].Window.Start.Equal(at(8)) {
+		t.Fatalf("AdvanceTo fired %+v, want [4s,8s) then [8s,12s)", res)
+	}
+	if res[0].Responses != 3 || res[1].Responses != 1 {
+		t.Fatalf("responses %d, %d; want 3, 1", res[0].Responses, res[1].Responses)
+	}
+}

@@ -261,6 +261,10 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	if err := fresh().Restore([]byte("not a checkpoint")); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("garbage restore: %v", err)
 	}
+	// The retired PAC1 layout is a bad magic like any other.
+	if err := fresh().Restore(append([]byte("PAC1"), ckpt[4:]...)); !errors.Is(err, ErrCheckpoint) {
+		t.Fatalf("PAC1 restore: %v", err)
+	}
 	if err := fresh().Restore(ckpt[:len(ckpt)-3]); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("truncated restore: %v", err)
 	}

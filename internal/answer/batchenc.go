@@ -12,7 +12,7 @@ import (
 var ErrBatchShape = errors.New("answer: batch shape mismatch")
 
 // BatchEncoder packs same-query messages into one contiguous
-// fixed-stride lane, the payload column of the wire-v2 frame and the
+// fixed-stride lane, the payload column of the columnar frame and the
 // input shape of xorcrypt's batch split. The first Append fixes the
 // batch shape (QueryID and bucket count); epochs may vary freely, since
 // each slot carries its own epoch in the message header.

@@ -11,7 +11,7 @@
 // fault-free run (the broker's producer-session dedup and the client's
 // retry policy absorb every injected fault).
 //
-// Faults target only the SessionPublisher surface: those are the calls
+// Faults target only the two session publish calls: those are the calls
 // with an exactly-once contract to stress. Plain publishes pass through
 // untouched — without broker dedup, a replayed or duplicated share
 // would XOR the aggregator's MID join into silent garbage, which is the
@@ -123,15 +123,13 @@ type Stats struct {
 func (s Stats) Injected() int64 { return s.Resets + s.AckDrops + s.Duplicates + s.Delays }
 
 // Transport wraps a pubsub transport with fault injection on the
-// session publish path; every other call passes straight through. It
-// implements the same optional surfaces as the wrapped transport's
-// common case (WaitPublisher, ColumnPublisher, SessionPublisher), so a
-// pubsub.Producer built over it negotiates sessions exactly as it would
-// over the bare transport.
+// session publish path. Every other pubsub.Transport method is the
+// embedded inner transport's, a plain passthrough; a pubsub.Producer
+// built over the wrapper runs exactly as it would over the bare
+// transport.
 type Transport struct {
-	inner pubsub.Transport
-	sp    pubsub.SessionPublisher // nil when inner lacks sessions
-	plan  Plan
+	pubsub.Transport
+	plan Plan
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -146,9 +144,7 @@ func Wrap(inner pubsub.Transport, plan Plan) (*Transport, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Transport{inner: inner, plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
-	t.sp, _ = inner.(pubsub.SessionPublisher)
-	return t, nil
+	return &Transport{Transport: inner, plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}, nil
 }
 
 // Stats returns the fault counters so far.
@@ -213,88 +209,17 @@ func (t *Transport) sessionCall(send func() ([]pubsub.PubResult, error)) ([]pubs
 // PublishBatchSession injects a fault (per the plan) around the inner
 // session publish.
 func (t *Transport) PublishBatchSession(topic string, msgs []pubsub.Message, pid, seq uint64) ([]pubsub.PubResult, error) {
-	if t.sp == nil {
-		return nil, pubsub.ErrNoSession
-	}
 	return t.sessionCall(func() ([]pubsub.PubResult, error) {
-		return t.sp.PublishBatchSession(topic, msgs, pid, seq)
+		return t.Transport.PublishBatchSession(topic, msgs, pid, seq)
 	})
 }
 
 // PublishColumnsSession injects a fault (per the plan) around the inner
 // columnar session publish.
 func (t *Transport) PublishColumnsSession(topic string, cols pubsub.Columns, pid, seq uint64) ([]pubsub.PubResult, error) {
-	if t.sp == nil {
-		return nil, pubsub.ErrNoSession
-	}
 	return t.sessionCall(func() ([]pubsub.PubResult, error) {
-		return t.sp.PublishColumnsSession(topic, cols, pid, seq)
+		return t.Transport.PublishColumnsSession(topic, cols, pid, seq)
 	})
 }
 
-// --- fault-free passthroughs -------------------------------------------
-
-func (t *Transport) CreateTopic(topic string, partitions int) error {
-	return t.inner.CreateTopic(topic, partitions)
-}
-
-func (t *Transport) Partitions(topic string) (int, error) { return t.inner.Partitions(topic) }
-
-func (t *Transport) Publish(topic string, key, value []byte) (int, int64, error) {
-	return t.inner.Publish(topic, key, value)
-}
-
-func (t *Transport) PublishBatch(topic string, msgs []pubsub.Message) ([]pubsub.PubResult, error) {
-	return t.inner.PublishBatch(topic, msgs)
-}
-
-func (t *Transport) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration) ([]pubsub.Record, error) {
-	return t.inner.FetchWait(topic, partition, offset, max, wait)
-}
-
-func (t *Transport) EndOffset(topic string, partition int) (int64, error) {
-	return t.inner.EndOffset(topic, partition)
-}
-
-func (t *Transport) CommitOffset(group, topic string, partition int, offset int64) error {
-	return t.inner.CommitOffset(group, topic, partition, offset)
-}
-
-func (t *Transport) CommittedOffset(group, topic string, partition int) (int64, error) {
-	return t.inner.CommittedOffset(group, topic, partition)
-}
-
-func (t *Transport) PublishWait(topic string, key, value []byte, timeout time.Duration) (int, int64, error) {
-	if wp, ok := t.inner.(pubsub.WaitPublisher); ok {
-		return wp.PublishWait(topic, key, value, timeout)
-	}
-	return t.inner.Publish(topic, key, value)
-}
-
-func (t *Transport) PublishBatchWait(topic string, msgs []pubsub.Message, timeout time.Duration) ([]pubsub.PubResult, error) {
-	if wp, ok := t.inner.(pubsub.WaitPublisher); ok {
-		return wp.PublishBatchWait(topic, msgs, timeout)
-	}
-	return t.inner.PublishBatch(topic, msgs)
-}
-
-func (t *Transport) PublishColumns(topic string, cols pubsub.Columns) ([]pubsub.PubResult, error) {
-	if cp, ok := t.inner.(pubsub.ColumnPublisher); ok {
-		return cp.PublishColumns(topic, cols)
-	}
-	return nil, fmt.Errorf("chaos: inner transport has no columnar surface")
-}
-
-func (t *Transport) PublishColumnsWait(topic string, cols pubsub.Columns, timeout time.Duration) ([]pubsub.PubResult, error) {
-	if cp, ok := t.inner.(pubsub.ColumnPublisher); ok {
-		return cp.PublishColumnsWait(topic, cols, timeout)
-	}
-	return nil, fmt.Errorf("chaos: inner transport has no columnar surface")
-}
-
-var (
-	_ pubsub.Transport        = (*Transport)(nil)
-	_ pubsub.WaitPublisher    = (*Transport)(nil)
-	_ pubsub.ColumnPublisher  = (*Transport)(nil)
-	_ pubsub.SessionPublisher = (*Transport)(nil)
-)
+var _ pubsub.Transport = (*Transport)(nil)

@@ -17,7 +17,7 @@ type BatchSink interface {
 }
 
 // ColumnSink is the columnar flush surface — proxy.Proxy implements it
-// on top of the wire-v2 publish path. A call hands over count shares as
+// on top of the columnar publish path. A call hands over count shares as
 // two contiguous lanes: MIDs at a xorcrypt.MIDSize stride and payloads
 // at a size-byte stride. Like SubmitBatch, the sink must fully consume
 // both lanes before returning; they belong to the caller.
@@ -33,7 +33,7 @@ type ColumnSink interface {
 // clients answered, turning an epoch's O(N) proxy round-trips into
 // O(1).
 //
-// Submit copies each share directly into the columnar layout wire v2
+// Submit copies each share directly into the columnar layout the wire
 // carries: per payload size, one contiguous MID lane and one contiguous
 // payload lane (the arena). Fixed stride is a per-segment property, so
 // a batch mixing query shapes simply fills one segment per shape, in

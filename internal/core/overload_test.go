@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -370,74 +370,32 @@ func TestSLOCheckpointResumeMidShed(t *testing.T) {
 	}
 }
 
-// TestRestoreAcceptsPSC1 pins backward compatibility: a pre-overload-
-// control checkpoint (PSC1 — no SLO section) still restores. The v1
-// record is synthesized from a v2 one by dropping the zero SLO flag
-// byte, which sits immediately before the aggregator section.
-func TestRestoreAcceptsPSC1(t *testing.T) {
-	const epochs, crashAfter = 4, 2
-	dir := t.TempDir()
-
-	ref, err := New(taxiSystemConfig(t, 6, recoveryParams))
+// TestRestoreRejectsPSC1: the pre-overload-control checkpoint format
+// (PSC1, no SLO section) is no longer read. A record carrying its magic
+// fails with ErrConfig instead of restoring.
+func TestRestoreRejectsPSC1(t *testing.T) {
+	sysA, err := New(taxiSystemConfig(t, 6, recoveryParams))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
-	want := runEpochsInto(t, ref, epochs, nil)
-	final, err := ref.Flush()
-	if err != nil {
+	defer sysA.Close()
+	if _, _, err := sysA.RunEpoch(); err != nil {
 		t.Fatal(err)
 	}
-	want = append(want, final...)
-
-	cfgA := taxiSystemConfig(t, 6, recoveryParams)
-	cfgA.DataDir = dir
-	cfgA.WALFsync = wal.PolicyEveryBatch
-	sysA, err := New(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := runEpochsInto(t, sysA, crashAfter, nil)
 	ckpt, err := sysA.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-serialize just the aggregator section to locate the tail, then
-	// splice out the SLO flag byte (zero here — SLO control is off) and
-	// swap the magic.
-	aggCkpt, err := sysA.Aggregator().Checkpoint(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sysA.Close()
-	cut := len(ckpt) - len(aggCkpt)
-	if cut < 5 || !bytes.Equal(ckpt[cut:], aggCkpt) || ckpt[cut-1] != 0 {
-		t.Fatalf("checkpoint layout changed; cannot synthesize a v1 record")
-	}
-	v1 := append([]byte("PSC1"), ckpt[4:cut-1]...)
-	v1 = append(v1, aggCkpt...)
-
-	cfgB := taxiSystemConfig(t, 6, recoveryParams)
-	cfgB.DataDir = dir
-	cfgB.WALFsync = wal.PolicyEveryBatch
-	sysB, err := New(cfgB)
+	sysB, err := New(taxiSystemConfig(t, 6, recoveryParams))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sysB.Close()
-	if err := sysB.Restore(v1); err != nil {
-		t.Fatal(err)
+	psc1 := append([]byte("PSC1"), ckpt[4:]...)
+	if err := sysB.Restore(psc1); !errors.Is(err, ErrConfig) {
+		t.Fatalf("PSC1 restore: %v, want ErrConfig", err)
 	}
-	if got, want := sysB.Epoch(), uint64(crashAfter); got != want {
-		t.Fatalf("restored epoch = %d, want %d", got, want)
-	}
-	got = runEpochsInto(t, sysB, epochs-crashAfter, got)
-	final, err = sysB.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, final...)
-	if !resultsEqual(got, want) {
-		t.Fatalf("v1 restore diverged:\ngot  %+v\nwant %+v", got, want)
+	if err := sysB.Restore(ckpt); err != nil {
+		t.Fatalf("PSC2 restore after rejected PSC1: %v", err)
 	}
 }

@@ -203,10 +203,8 @@ func (p *Proxy) SetCapacity(capacity int) error {
 func (p *Proxy) Submit(share xorcrypt.Share) error {
 	mid := share.MID
 	if p.submitTimeout > 0 {
-		if wp, ok := p.t.(pubsub.WaitPublisher); ok {
-			_, _, err := wp.PublishWait(p.topic, mid[:], share.Payload, p.submitTimeout)
-			return err
-		}
+		_, _, err := p.t.PublishWait(p.topic, mid[:], share.Payload, p.submitTimeout)
+		return err
 	}
 	_, _, err := p.t.Publish(p.topic, mid[:], share.Payload)
 	return err
@@ -251,18 +249,15 @@ func (p *Proxy) SubmitBatch(shares []xorcrypt.Share) error {
 // SubmitColumns accepts a columnar batch of count shares: a contiguous
 // MID lane (count × xorcrypt.MIDSize bytes) and a contiguous payload
 // lane at a fixed size-byte stride — one segment of a client's arena
-// batcher, one wire-v2 frame over TCP. Transports that implement
-// pubsub.ColumnPublisher carry the lanes without per-share re-slicing;
-// for any other transport the lanes are materialized into pooled
-// per-share messages, so every transport keeps working. Both lanes are
-// fully consumed before SubmitColumns returns (DESIGN.md §6, §10).
+// batcher, one columnar session frame over TCP. Every transport carries
+// the lanes without per-share re-slicing. Both lanes are fully consumed
+// before SubmitColumns returns (DESIGN.md §6, §10).
 func (p *Proxy) SubmitColumns(mids, payloads []byte, count, size int) error {
 	if count == 0 {
 		return nil
 	}
-	// The producer owns the columnar-vs-row decision: session transports
-	// get tagged columnar frames, plain ColumnPublishers the wire-v2
-	// path, and row-only transports a materialized batch.
+	// The producer tags the batch with its session, so a retried
+	// columnar frame is deduplicated like a retried row batch.
 	return p.prod.PublishColumns(p.topic, pubsub.Columns{
 		Count:  count,
 		KeyLen: xorcrypt.MIDSize,
@@ -301,19 +296,19 @@ func (p *Proxy) ControlConsumer(group string) (*pubsub.Consumer, error) {
 }
 
 // SupportsLineage reports whether this proxy's transport hosts the
-// provenance sidecar topic. Owned brokers always do; remote transports
-// answer from their negotiated feature mask (one cached opFeatures
-// probe), and transports predating the capability report false.
+// provenance sidecar topic. The broker and the TCP client always do; a
+// wrapping transport that does not expose SupportsLineage (such as
+// chaos.Transport) reports false.
 func (p *Proxy) SupportsLineage() bool {
 	lp, ok := p.t.(interface{ SupportsLineage() bool })
 	return ok && lp.SupportsLineage()
 }
 
 // SubmitStamp publishes one encoded batch origin stamp to the lineage
-// sidecar. Stamps are advisory observability data: against a peer or
-// transport without provenance support — a v1 broker, a wrapped
-// transport that hides the capability, a broker without the topic —
-// the stamp is silently dropped and the share plane is unaffected.
+// sidecar. Stamps are advisory observability data: against a transport
+// without provenance support — a wrapped transport that hides the
+// capability, a broker without the topic — the stamp is silently
+// dropped and the share plane is unaffected.
 func (p *Proxy) SubmitStamp(payload []byte) error {
 	if !p.SupportsLineage() {
 		return nil
@@ -468,8 +463,8 @@ func (f *Fleet) Consumers(group string) ([]*pubsub.Consumer, error) {
 
 // LineageConsumers returns one lineage consumer per proxy that
 // supports the provenance plane; proxies without it are skipped, so
-// the slice may be shorter than the fleet (empty against an all-v1
-// fleet — the aggregator then simply sees no stamps).
+// the slice may be shorter than the fleet (empty when every proxy sits
+// behind a chaos wrapper — the aggregator then simply sees no stamps).
 func (f *Fleet) LineageConsumers(group string) ([]*pubsub.Consumer, error) {
 	var out []*pubsub.Consumer
 	for _, p := range f.proxies {

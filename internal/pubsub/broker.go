@@ -147,8 +147,8 @@ func NewBroker() *Broker {
 }
 
 // SupportsLineage reports provenance-plane support: an in-process
-// broker always hosts the lineage sidecar topic (the Client mirrors
-// this by probing the server's opFeatures mask).
+// broker always hosts the lineage sidecar topic (Client.SupportsLineage
+// says the same of every served broker).
 func (b *Broker) SupportsLineage() bool { return true }
 
 // CreateTopic registers a topic with the given partition count.

@@ -7,14 +7,14 @@ import (
 	"time"
 )
 
-// This file is the columnar half of the publish path — wire v2. A batch
+// This file is the columnar half of the publish path. A batch
 // of N same-stride records travels and lands as two contiguous lanes
 // (keys, values) instead of N (key, value) pairs: the TCP frame is one
 // header plus two lane writes, the server hands the lanes to the broker
 // as views into the request frame, and the broker's in-memory append
 // copies each lane exactly once, storing records as subslices — the
-// whole path performs a constant number of copies per batch where v1
-// performs a constant number per message.
+// whole path performs a constant number of copies per batch where the
+// row form performs a constant number per message.
 
 // fnv1a32 is FNV-1a over b, matching hash/fnv's New32a exactly (the
 // routing function of Publish/PublishBatch) without constructing a
@@ -226,61 +226,10 @@ func journalColumns(p *partitionLog, now time.Time, cols Columns, idxs []int, pi
 	return err
 }
 
-// Client-side negotiation state, cached per Client (one probe per
-// pool): 0 = unprobed, 1 = server speaks wire v2, -1 = v1-only server.
-const (
-	featUnknown = int32(0)
-	featV2      = int32(1)
-	featV1Only  = int32(-1)
-)
-
-// Features asks the server for its capability mask. Against a v1
-// server the request itself fails with the "unknown opcode" wire error
-// (the connection survives); callers treat that as an empty mask.
-func (c *Client) Features() (uint64, error) {
-	var e enc
-	e.byte(opFeatures)
-	d, err := c.roundTrip(e.buf)
-	if err != nil {
-		return 0, err
-	}
-	return d.uint64()
-}
-
-// supportsColumns reports whether the server accepts opPublishBatchV2,
-// probing once via opFeatures and caching the verdict. Only a definite
-// protocol answer is cached — a transport failure leaves the state
-// unprobed so a later call retries.
-func (c *Client) supportsColumns() bool {
-	switch c.features.Load() {
-	case featV2:
-		return true
-	case featV1Only:
-		return false
-	}
-	mask, err := c.Features()
-	if err != nil {
-		if errors.Is(err, ErrWire) {
-			// The server parsed the frame and rejected the opcode: a v1
-			// peer. Remember and fall back for the life of this client.
-			c.features.Store(featV1Only)
-		}
-		return false
-	}
-	if mask&featureColumnarV2 != 0 {
-		c.features.Store(featV2)
-		return true
-	}
-	c.features.Store(featV1Only)
-	return false
-}
-
 // PublishColumns mirrors Broker.PublishColumns over TCP: the whole
 // batch travels as one opPublishBatchV2 frame — header plus two lane
 // writes, no per-message slicing (chunked by rows only past
-// maxBatchBytes). Against a v1 server it transparently falls back to
-// the row-oriented PublishBatch, materializing per-record views of the
-// lanes; either way both lanes are fully consumed before the call
+// maxBatchBytes). Both lanes are fully consumed before the call
 // returns.
 func (c *Client) PublishColumns(topic string, cols Columns) ([]PubResult, error) {
 	if err := cols.Validate(); err != nil {
@@ -288,13 +237,6 @@ func (c *Client) PublishColumns(topic string, cols Columns) ([]PubResult, error)
 	}
 	if cols.Count == 0 {
 		return nil, nil
-	}
-	if !c.supportsColumns() {
-		msgs := make([]Message, cols.Count)
-		for i := range msgs {
-			msgs[i] = Message{Key: cols.Key(i), Value: cols.Val(i)}
-		}
-		return c.PublishBatch(topic, msgs)
 	}
 	stride := cols.KeyLen + cols.ValLen
 	rows := maxBatchBytes / stride
@@ -348,14 +290,6 @@ func (c *Client) PublishColumns(topic string, cols Columns) ([]PubResult, error)
 // past maxBatchBytes.
 func (c *Client) PublishColumnsWait(topic string, cols Columns, timeout time.Duration) ([]PubResult, error) {
 	return publishColumnsWait(c.PublishColumns, topic, cols, timeout, c.pace)
-}
-
-// handleFeatures answers the capability probe.
-func (s *Server) handleFeatures() []byte {
-	var e enc
-	e.byte(0)
-	e.uint64(featureColumnarV2 | featureIdempotent | featureLineage)
-	return e.buf
 }
 
 // handlePublishColumns decodes an opPublishBatchV2 frame. The lanes are

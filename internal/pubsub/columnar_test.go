@@ -181,20 +181,13 @@ func TestAppendColumnsMixedStride(t *testing.T) {
 	}
 }
 
-// TestClientPublishColumnsTCP: wire v2 end-to-end — the client probes
-// features once, caches the v2 verdict, and the records a consumer sees
-// are identical to the row-oriented path against a separate broker.
+// TestClientPublishColumnsTCP: the columnar frame end-to-end — the
+// records a consumer sees are identical to the row-oriented path
+// against a separate broker.
 func TestClientPublishColumnsTCP(t *testing.T) {
 	_, _, cli := startServer(t)
 	if err := cli.CreateTopic("answers", 4); err != nil {
 		t.Fatal(err)
-	}
-	mask, err := cli.Features()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mask&featureColumnarV2 == 0 {
-		t.Fatalf("server mask %x lacks columnar bit", mask)
 	}
 	msgs := colMsgs(19, 16, 22)
 	cols, err := appendColumns(msgs)
@@ -204,9 +197,6 @@ func TestClientPublishColumnsTCP(t *testing.T) {
 	res, err := cli.PublishColumns("answers", cols)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := cli.features.Load(); got != featV2 {
-		t.Fatalf("negotiation cached %d, want featV2", got)
 	}
 
 	refB := newTestBroker(t, "answers")
@@ -233,59 +223,6 @@ func TestClientPublishColumnsTCP(t *testing.T) {
 		}
 		sameRecords(t, [][]Record{got}, [][]Record{want})
 	}
-}
-
-// TestClientPublishColumnsLegacyFallback: against a v1-only server the
-// feature probe fails with the wire error, the client caches the v1
-// verdict, and PublishColumns transparently degrades to PublishBatch —
-// same records, same results, no v2 frame ever accepted.
-func TestClientPublishColumnsLegacyFallback(t *testing.T) {
-	b := NewBroker()
-	srv, err := Serve(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.legacyV1 = true
-	t.Cleanup(func() { srv.Close() })
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cli.Close() })
-
-	if err := cli.CreateTopic("answers", 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Features(); !errors.Is(err, ErrWire) {
-		t.Fatalf("v1 server feature probe: %v", err)
-	}
-	msgs := colMsgs(19, 16, 22)
-	cols, err := appendColumns(msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cli.PublishColumns("answers", cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cli.features.Load(); got != featV1Only {
-		t.Fatalf("negotiation cached %d, want featV1Only", got)
-	}
-
-	refB := newTestBroker(t, "answers")
-	refRes, err := refB.PublishBatch("answers", msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(refRes) {
-		t.Fatalf("%d results vs %d", len(res), len(refRes))
-	}
-	for i := range res {
-		if res[i] != refRes[i] {
-			t.Fatalf("record %d landed at %+v via fallback vs %+v in-process", i, res[i], refRes[i])
-		}
-	}
-	sameRecords(t, fetchAll(t, b, "answers"), fetchAll(t, refB, "answers"))
 }
 
 // FuzzFrameV2RoundTrip drives the server-side wire-v2 decoder two ways:

@@ -10,8 +10,7 @@ import (
 )
 
 // RetryPolicy shapes a Producer's at-least-once delivery. The zero
-// value means one attempt, no blocking on full partitions — exactly the
-// pre-session publish behavior.
+// value means one attempt and no blocking on full partitions.
 type RetryPolicy struct {
 	// Attempts is the number of tries per batch chunk (<= 0 means 1).
 	// Retries fire only for retryable failures: ErrAmbiguous (the
@@ -56,9 +55,7 @@ func (r RetryPolicy) withDefaults() RetryPolicy {
 // tags every batch with a producer ID and a per-topic sequence number,
 // and retries ambiguous failures safely — the broker's per-partition
 // session slots turn a replayed batch into Stats.Duplicates instead of
-// double-published records. Against a transport without session support
-// it degrades to plain publishes with no ambiguous retry (a blind retry
-// could double-publish), still honoring FullWait backpressure.
+// double-published records.
 //
 // A Producer serializes its publishes (one in-flight batch per
 // producer), which the dedup contract requires: sequences must reach
@@ -67,15 +64,10 @@ type Producer struct {
 	t  Transport
 	id uint64
 
-	mu   sync.Mutex
-	pol  RetryPolicy
-	seqs map[string]uint64
-	// session is false once the transport definitively lacks session
-	// support (no SessionPublisher surface, or ErrNoSession from
-	// feature negotiation).
-	session bool
-	sp      SessionPublisher
-	jitter  atomic.Uint64
+	mu     sync.Mutex
+	pol    RetryPolicy
+	seqs   map[string]uint64
+	jitter atomic.Uint64
 }
 
 // NewProducer wraps t with a fresh producer session. The producer ID is
@@ -83,7 +75,6 @@ type Producer struct {
 // no broker-side registration is needed).
 func NewProducer(t Transport, pol RetryPolicy) *Producer {
 	p := &Producer{t: t, seqs: make(map[string]uint64)}
-	p.sp, p.session = t.(SessionPublisher)
 	var b [8]byte
 	for {
 		if _, err := crand.Read(b[:]); err != nil {
@@ -130,7 +121,7 @@ func retryablePublishErr(err error) bool {
 	}
 	for _, s := range []error{
 		ErrNoTopic, ErrTopicExists, ErrNoPartition, ErrBadOffset,
-		ErrClosed, ErrPartitionFull, ErrWire, ErrDurable, ErrNoSession,
+		ErrClosed, ErrPartitionFull, ErrWire, ErrDurable,
 	} {
 		if errors.Is(err, s) {
 			return false
@@ -140,9 +131,9 @@ func retryablePublishErr(err error) bool {
 }
 
 // PublishBatch publishes msgs to topic with at-least-once retries and
-// exactly-once effect (given session support). Batches above
-// maxBatchBytes are split into chunks, each tagged with its own
-// sequence; all-or-nothing holds per chunk. Results are not returned:
+// exactly-once effect. Batches above maxBatchBytes are split into
+// chunks, each tagged with its own sequence; all-or-nothing holds per
+// chunk. Results are not returned:
 // a deduplicated replay of an old chunk cannot reconstruct original
 // placements, so session callers treat placement as broker-internal.
 func (p *Producer) PublishBatch(topic string, msgs []Message) error {
@@ -151,9 +142,6 @@ func (p *Producer) PublishBatch(topic string, msgs []Message) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.session {
-		return p.plainRowsLocked(topic, msgs)
-	}
 	for start := 0; start < len(msgs); {
 		n := 0
 		size := 0
@@ -167,14 +155,10 @@ func (p *Producer) PublishBatch(topic string, msgs []Message) error {
 		}
 		chunk := msgs[start : start+n]
 		err := p.sendLocked(topic, func(seq uint64) error {
-			_, err := p.sp.PublishBatchSession(topic, chunk, p.id, seq)
+			_, err := p.t.PublishBatchSession(topic, chunk, p.id, seq)
 			return err
 		})
 		if err != nil {
-			if errors.Is(err, ErrNoSession) {
-				p.session = false
-				return p.plainRowsLocked(topic, msgs[start:])
-			}
 			return err
 		}
 		start += n
@@ -193,9 +177,6 @@ func (p *Producer) PublishColumns(topic string, cols Columns) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.session {
-		return p.plainColsLocked(topic, cols)
-	}
 	stride := cols.KeyLen + cols.ValLen
 	rows := maxBatchBytes / stride
 	if rows < 1 {
@@ -214,21 +195,10 @@ func (p *Producer) PublishColumns(topic string, cols Columns) error {
 			Vals:   cols.Vals[start*cols.ValLen : (start+n)*cols.ValLen],
 		}
 		err := p.sendLocked(topic, func(seq uint64) error {
-			_, err := p.sp.PublishColumnsSession(topic, chunk, p.id, seq)
+			_, err := p.t.PublishColumnsSession(topic, chunk, p.id, seq)
 			return err
 		})
 		if err != nil {
-			if errors.Is(err, ErrNoSession) {
-				p.session = false
-				rest := Columns{
-					Count:  cols.Count - start,
-					KeyLen: cols.KeyLen,
-					ValLen: cols.ValLen,
-					Keys:   cols.Keys[start*cols.KeyLen:],
-					Vals:   cols.Vals[start*cols.ValLen:],
-				}
-				return p.plainColsLocked(topic, rest)
-			}
 			return err
 		}
 	}
@@ -275,34 +245,4 @@ func (p *Producer) sendLocked(topic string, send func(seq uint64) error) error {
 		}
 	}
 	return lastErr
-}
-
-// plainRowsLocked is the degraded path for session-less transports: one
-// attempt (no ambiguous retry), FullWait honored through the Wait
-// variants. Caller holds p.mu.
-func (p *Producer) plainRowsLocked(topic string, msgs []Message) error {
-	if p.pol.FullWait > 0 {
-		if wp, ok := p.t.(WaitPublisher); ok {
-			_, err := wp.PublishBatchWait(topic, msgs, p.pol.FullWait)
-			return err
-		}
-	}
-	_, err := p.t.PublishBatch(topic, msgs)
-	return err
-}
-
-func (p *Producer) plainColsLocked(topic string, cols Columns) error {
-	if cp, ok := p.t.(ColumnPublisher); ok {
-		if p.pol.FullWait > 0 {
-			_, err := cp.PublishColumnsWait(topic, cols, p.pol.FullWait)
-			return err
-		}
-		_, err := cp.PublishColumns(topic, cols)
-		return err
-	}
-	msgs := make([]Message, cols.Count)
-	for i := range msgs {
-		msgs[i] = Message{Key: cols.Key(i), Value: cols.Val(i)}
-	}
-	return p.plainRowsLocked(topic, msgs)
 }

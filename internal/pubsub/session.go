@@ -1,48 +1,12 @@
 package pubsub
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // This file is the wire half of producer sessions (idempotent
 // at-least-once publish): the client-side session opcodes and their
 // server handlers. The broker half — per-partition (producer, sequence)
 // dedup slots journaled with the records — lives in broker.go,
 // columnar.go, and durable.go; the retrying front-end is Producer.
-
-// ErrNoSession reports a transport without producer-session support: a
-// pre-session server (feature negotiation said so) or a Transport that
-// never implemented SessionPublisher. Producer reacts by falling back
-// to plain publishes with no ambiguous-failure retry, since a blind
-// retry without broker dedup could double-publish.
-var ErrNoSession = errors.New("pubsub: producer sessions unsupported by transport")
-
-// supportsSessions probes the server's feature mask once and caches a
-// definite verdict, exactly like supportsColumns; a transport failure
-// leaves the state unprobed and is returned so the caller can retry.
-func (c *Client) supportsSessions() (bool, error) {
-	switch c.sessions.Load() {
-	case featV2:
-		return true, nil
-	case featV1Only:
-		return false, nil
-	}
-	mask, err := c.Features()
-	if err != nil {
-		if errors.Is(err, ErrWire) {
-			c.sessions.Store(featV1Only)
-			return false, nil
-		}
-		return false, err
-	}
-	if mask&featureIdempotent != 0 {
-		c.sessions.Store(featV2)
-		return true, nil
-	}
-	c.sessions.Store(featV1Only)
-	return false, nil
-}
 
 // decodePubResults reads the count-prefixed PubResult list every batch
 // publish response carries, checking the ack count against want.
@@ -73,17 +37,9 @@ func decodePubResults(d *dec, want int) ([]PubResult, error) {
 // whole batch travels as exactly one frame — a session sequence covers
 // one atomic broker batch, so this method never chunks; callers
 // (Producer) bound batch size and assign one sequence per chunk.
-// Against a pre-session server it returns ErrNoSession.
 func (c *Client) PublishBatchSession(topic string, msgs []Message, pid, seq uint64) ([]PubResult, error) {
 	if len(msgs) == 0 {
 		return nil, nil
-	}
-	ok, err := c.supportsSessions()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, ErrNoSession
 	}
 	e := getEnc()
 	defer putEnc(e)
@@ -104,20 +60,13 @@ func (c *Client) PublishBatchSession(topic string, msgs []Message, pid, seq uint
 }
 
 // PublishColumnsSession mirrors Broker.PublishColumnsSession over TCP —
-// one frame, never chunked, ErrNoSession against a pre-session server.
+// one frame, never chunked.
 func (c *Client) PublishColumnsSession(topic string, cols Columns, pid, seq uint64) ([]PubResult, error) {
 	if err := cols.Validate(); err != nil {
 		return nil, err
 	}
 	if cols.Count == 0 {
 		return nil, nil
-	}
-	ok, err := c.supportsSessions()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, ErrNoSession
 	}
 	e := getEnc()
 	defer putEnc(e)

@@ -244,38 +244,6 @@ func TestSessionOverTCP(t *testing.T) {
 	}
 }
 
-// TestSessionLegacyServer: a pre-session server rejects the session
-// opcodes; the client caches the verdict and reports ErrNoSession, and
-// a Producer on top downgrades to plain publishes.
-func TestSessionLegacyServer(t *testing.T) {
-	b := NewBroker()
-	t.Cleanup(b.Close)
-	srv, err := Serve(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	srv.legacyV1 = true
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cli.Close() })
-	if err := cli.CreateTopic("t", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.PublishBatchSession("t", sessionMsgs("x", 2), 3, 1); !errors.Is(err, ErrNoSession) {
-		t.Fatalf("session publish against legacy server: %v, want ErrNoSession", err)
-	}
-	prod := NewProducer(cli, RetryPolicy{Attempts: 3, Backoff: time.Microsecond})
-	if err := prod.PublishBatch("t", sessionMsgs("y", 4)); err != nil {
-		t.Fatalf("producer against legacy server: %v", err)
-	}
-	if end := topicEnd(t, cli, "t"); end != 4 {
-		t.Fatalf("topic holds %d records, want 4", end)
-	}
-}
-
 // flakySession wraps a broker and fails the first failures session
 // publishes after the broker applied them — the ambiguous ack-loss
 // shape the producer must retry through.

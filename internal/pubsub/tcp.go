@@ -24,11 +24,6 @@ type Server struct {
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
-	// legacyV1 makes the server reject the wire-v2 opcodes (opFeatures,
-	// opPublishBatchV2) exactly like a pre-v2 build, for interop tests
-	// exercising the client's negotiation fallback. Set before clients
-	// connect.
-	legacyV1 bool
 }
 
 // Serve starts serving the broker on addr (e.g. "127.0.0.1:0") and
@@ -127,10 +122,6 @@ func (s *Server) handle(req []byte) []byte {
 	op, err := d.byte()
 	if err != nil {
 		return respErr(err)
-	}
-	if s.legacyV1 && (op == opFeatures || op == opPublishBatchV2 ||
-		op == opPublishBatchSession || op == opPublishColumnsSession) {
-		return respErr(fmt.Errorf("%w: unknown opcode %d", ErrWire, op))
 	}
 	switch op {
 	case opCreateTopic:
@@ -317,8 +308,6 @@ func (s *Server) handle(req []byte) []byte {
 		e.byte(0)
 		e.uint32(uint32(n))
 		return e.buf
-	case opFeatures:
-		return s.handleFeatures()
 	case opPublishBatchV2:
 		return s.handlePublishColumns(d)
 	case opPublishBatchSession:
@@ -498,42 +487,12 @@ type Client struct {
 	// jitter is the shared xorshift state for backoff/pacing jitter;
 	// zero when Options.Seed is unset.
 	jitter atomic.Uint64
-	// features caches the wire-v2 negotiation verdict (see
-	// supportsColumns): featUnknown until probed, then featV2 or
-	// featV1Only for the life of the client. sessions caches the
-	// producer-session verdict the same way.
-	features atomic.Int32
-	sessions atomic.Int32
-	// lineage caches the provenance-plane verdict the same way.
-	lineage atomic.Int32
 }
 
 // SupportsLineage reports whether the server hosts the lineage
-// provenance plane (featureLineage in its capability mask), probing
-// once via opFeatures and caching a definite verdict like
-// supportsColumns. Against a v1 peer, or on transport failure, it
-// reports false — callers skip stamping rather than erroring.
-func (c *Client) SupportsLineage() bool {
-	switch c.lineage.Load() {
-	case featV2:
-		return true
-	case featV1Only:
-		return false
-	}
-	mask, err := c.Features()
-	if err != nil {
-		if errors.Is(err, ErrWire) {
-			c.lineage.Store(featV1Only)
-		}
-		return false
-	}
-	if mask&featureLineage != 0 {
-		c.lineage.Store(featV2)
-		return true
-	}
-	c.lineage.Store(featV1Only)
-	return false
-}
+// provenance plane. Every broker built from this tree creates the
+// lineage topic, so like Broker.SupportsLineage it is always true.
+func (c *Client) SupportsLineage() bool { return true }
 
 // DefaultPoolConns is the pool size DialPool uses for conns <= 0.
 const DefaultPoolConns = 4
@@ -808,8 +767,9 @@ func (cc *clientConn) roundTrip(req []byte) (*dec, error) {
 // errors to retry (PublishWait) instead of failing.
 var wireSentinels = []error{
 	ErrPartitionFull, ErrNoTopic, ErrTopicExists, ErrNoPartition, ErrBadOffset, ErrClosed,
-	// ErrWire crosses the wire too so the client can recognize a v1
-	// server's "unknown opcode" rejection during feature negotiation.
+	// ErrWire crosses the wire too, so a server's protocol rejection
+	// (malformed frame, unknown opcode) stays a definite verdict that
+	// Producer does not retry.
 	ErrWire,
 }
 

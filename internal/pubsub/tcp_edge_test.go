@@ -287,21 +287,24 @@ func TestTCPServerEmptyFrame(t *testing.T) {
 func TestTCPServerUnknownOpcode(t *testing.T) {
 	_, srv, _ := startServer(t)
 	conn := rawConn(t, srv.Addr())
-	if err := writeFrame(conn, []byte{0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	if msg := readStatusError(t, conn); !strings.Contains(msg, "unknown opcode") {
-		t.Errorf("unknown opcode error = %q", msg)
-	}
-	// The connection survives a bad opcode: a valid request still works.
-	var e enc
-	e.byte(opPartitions)
-	e.str("missing")
-	if err := writeFrame(conn, e.buf); err != nil {
-		t.Fatal(err)
-	}
-	if msg := readStatusError(t, conn); !strings.Contains(msg, "no such topic") {
-		t.Errorf("post-recovery error = %q", msg)
+	// 0xFF was never assigned; 9 is the retired capability-probe slot.
+	for _, op := range []byte{0xFF, 9} {
+		if err := writeFrame(conn, []byte{op}); err != nil {
+			t.Fatal(err)
+		}
+		if msg := readStatusError(t, conn); !strings.Contains(msg, "unknown opcode") {
+			t.Errorf("opcode %d error = %q", op, msg)
+		}
+		// The connection survives a bad opcode: a valid request still works.
+		var e enc
+		e.byte(opPartitions)
+		e.str("missing")
+		if err := writeFrame(conn, e.buf); err != nil {
+			t.Fatal(err)
+		}
+		if msg := readStatusError(t, conn); !strings.Contains(msg, "no such topic") {
+			t.Errorf("post-recovery error after opcode %d = %q", op, msg)
+		}
 	}
 }
 

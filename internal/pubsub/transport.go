@@ -20,10 +20,12 @@ type PubResult struct {
 }
 
 // Transport is the broker surface the rest of the system builds on.
-// Both the in-process *Broker and the TCP *Client implement it, so
-// proxies and the aggregator's consumers run unchanged over either
+// Both the in-process *Broker and the TCP *Client implement all of it,
+// so proxies and the aggregator's consumers run unchanged over either
 // backend — the in-process pipeline and the networked Fig. 3 deployment
-// are the same code with a different Transport plugged in.
+// are the same code with a different Transport plugged in. The surface
+// is fixed: every peer speaks every method, so no caller probes what a
+// transport or its server supports.
 type Transport interface {
 	// CreateTopic registers a topic with the given partition count.
 	CreateTopic(topic string, partitions int) error
@@ -35,6 +37,24 @@ type Transport interface {
 	// PublishBatch appends a batch of records in one call, returning
 	// one PubResult per message in input order.
 	PublishBatch(topic string, msgs []Message) ([]PubResult, error)
+	// PublishWait and PublishBatchWait are the blocking forms bounded
+	// (backpressured) topics call for: they retry a transient
+	// ErrPartitionFull until the record lands or the timeout passes.
+	PublishWait(topic string, key, value []byte, timeout time.Duration) (int, int64, error)
+	PublishBatchWait(topic string, msgs []Message, timeout time.Duration) ([]PubResult, error)
+	// PublishColumns appends a columnar batch (see Columns); over TCP it
+	// travels as one opPublishBatchV2 frame. PublishColumnsWait is its
+	// blocking form.
+	PublishColumns(topic string, cols Columns) ([]PubResult, error)
+	PublishColumnsWait(topic string, cols Columns, timeout time.Duration) ([]PubResult, error)
+	// PublishBatchSession and PublishColumnsSession are the idempotent
+	// (producer-session) forms: the batch is tagged with a producer ID
+	// and a per-topic sequence number, and the broker deduplicates per
+	// partition so an at-least-once retry has exactly-once effect.
+	// Callers normally go through Producer, which owns ID and sequence
+	// management plus the retry policy.
+	PublishBatchSession(topic string, msgs []Message, pid, seq uint64) ([]PubResult, error)
+	PublishColumnsSession(topic string, cols Columns, pid, seq uint64) ([]PubResult, error)
 	// FetchWait reads up to max records from a partition starting at
 	// offset. wait <= 0 returns immediately with whatever is available;
 	// wait > 0 blocks until at least one record arrives or the wait
@@ -51,7 +71,7 @@ type Transport interface {
 // Columns is the columnar form of a publish batch: Count fixed-stride
 // records laid out as two contiguous lanes, record i's key at
 // Keys[i*KeyLen:(i+1)*KeyLen] and its value at Vals[i*ValLen:...]. It
-// is the shape wire v2 (opPublishBatchV2) carries in one frame — one
+// is the shape one columnar frame (opPublishBatchV2) carries — one
 // header plus two lane copies, never re-sliced per message — and the
 // shape xorcrypt's batch split produces. The fixed stride is a
 // same-query constraint by construction: batches mixing message sizes
@@ -95,46 +115,7 @@ func (c Columns) Key(i int) []byte { return c.Keys[i*c.KeyLen : (i+1)*c.KeyLen :
 // Val returns record i's value as a view into the value lane.
 func (c Columns) Val(i int) []byte { return c.Vals[i*c.ValLen : (i+1)*c.ValLen : (i+1)*c.ValLen] }
 
-// ColumnPublisher is the optional columnar publish surface. Both the
-// in-process *Broker and the TCP *Client implement it; the client
-// negotiates per connection pool and transparently falls back to the
-// row-oriented PublishBatch against a v1 server, so callers may always
-// prefer the columnar call when they hold lane-shaped data.
-type ColumnPublisher interface {
-	PublishColumns(topic string, cols Columns) ([]PubResult, error)
-	PublishColumnsWait(topic string, cols Columns, timeout time.Duration) ([]PubResult, error)
-}
-
-// WaitPublisher is the optional blocking-publish surface bounded
-// (backpressured) topics call for: a publisher that must not drop on
-// transient ErrPartitionFull uses the Wait variants, which retry until
-// the record lands or the timeout passes. Both the in-process *Broker
-// and the TCP *Client implement it.
-type WaitPublisher interface {
-	PublishWait(topic string, key, value []byte, timeout time.Duration) (int, int64, error)
-	PublishBatchWait(topic string, msgs []Message, timeout time.Duration) ([]PubResult, error)
-}
-
-// SessionPublisher is the idempotent (producer-session) publish
-// surface: batches tagged with a producer ID and a per-topic sequence
-// number, deduplicated per partition by the broker so an at-least-once
-// retry has exactly-once effect. Both the in-process *Broker and the
-// TCP *Client implement it; the client negotiates per pool and returns
-// ErrNoSession against a pre-session server. Callers normally go
-// through Producer, which owns ID and sequence management plus the
-// retry policy.
-type SessionPublisher interface {
-	PublishBatchSession(topic string, msgs []Message, pid, seq uint64) ([]PubResult, error)
-	PublishColumnsSession(topic string, cols Columns, pid, seq uint64) ([]PubResult, error)
-}
-
 var (
-	_ Transport        = (*Broker)(nil)
-	_ Transport        = (*Client)(nil)
-	_ WaitPublisher    = (*Broker)(nil)
-	_ WaitPublisher    = (*Client)(nil)
-	_ ColumnPublisher  = (*Broker)(nil)
-	_ ColumnPublisher  = (*Client)(nil)
-	_ SessionPublisher = (*Broker)(nil)
-	_ SessionPublisher = (*Client)(nil)
+	_ Transport = (*Broker)(nil)
+	_ Transport = (*Client)(nil)
 )

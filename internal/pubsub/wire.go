@@ -19,7 +19,8 @@ const maxFrame = 64 << 20
 // ErrWire reports a transport protocol violation.
 var ErrWire = errors.New("pubsub: wire protocol error")
 
-// Opcodes.
+// Opcodes. Byte 9 is retired (servers answer it "unknown opcode"); its
+// blank slot keeps every later opcode at its wire value.
 const (
 	opCreateTopic = byte(iota + 1)
 	opPublish
@@ -29,31 +30,11 @@ const (
 	opCommitted
 	opPartitions
 	opPublishBatch
-	opFeatures
+	_
 	opPublishBatchV2
 	opPublishBatchSession
 	opPublishColumnsSession
 )
-
-// featureColumnarV2 is the capability bit a server advertises in its
-// opFeatures response when it accepts the columnar opPublishBatchV2
-// frame. A v1 server answers opFeatures itself with "unknown opcode"
-// (connections survive unknown opcodes), which the client reads as an
-// empty feature mask — that error-as-answer is the whole negotiation.
-const featureColumnarV2 = uint64(1) << 0
-
-// featureIdempotent advertises the producer-session publish opcodes
-// (opPublishBatchSession, opPublishColumnsSession): batches tagged with
-// a producer ID and per-topic sequence number that the broker
-// deduplicates, so a retry after an ambiguous failure cannot
-// double-publish.
-const featureIdempotent = uint64(1) << 1
-
-// featureLineage advertises the provenance plane: the broker hosts a
-// lineage sidecar topic and accepts batch origin stamps on it. Clients
-// that don't see the bit simply skip stamping — stamps are advisory
-// observability data, so the fallback is silence, not an error.
-const featureLineage = uint64(1) << 2
 
 func writeFrame(w io.Writer, payload []byte) error {
 	var hdr [4]byte

@@ -1,8 +1,8 @@
 // Package stream is the stream-processing substrate standing in for
-// Apache Flink at the aggregator (paper §5): event-time records,
-// sliding/tumbling window assignment, watermark tracking, a keyed join
-// for the XOR share streams, and windowed aggregation operators that
-// fire when the watermark passes a window's end.
+// Apache Flink at the aggregator (paper §5): event-time windows,
+// sliding/tumbling window assignment, and a keyed join for the XOR
+// share streams. Watermarks and window firing live in the aggregator,
+// which runs them sharded and concurrency-safe.
 package stream
 
 import (
@@ -102,42 +102,4 @@ func mod(a, b int64) int64 {
 		m += b
 	}
 	return m
-}
-
-// WatermarkTracker derives the event-time watermark as the maximum
-// observed event time minus an allowed lateness; records older than the
-// watermark are dropped by the windowed operators, matching the paper's
-// "removing all old data items" step in §3.2.4.
-type WatermarkTracker struct {
-	maxEvent time.Time
-	lateness time.Duration
-	seen     bool
-}
-
-// NewWatermarkTracker allows records to arrive up to lateness behind the
-// newest observed event time.
-func NewWatermarkTracker(lateness time.Duration) *WatermarkTracker {
-	return &WatermarkTracker{lateness: lateness}
-}
-
-// Observe folds in an event time and returns the current watermark.
-func (w *WatermarkTracker) Observe(t time.Time) time.Time {
-	if !w.seen || t.After(w.maxEvent) {
-		w.maxEvent = t
-		w.seen = true
-	}
-	return w.Current()
-}
-
-// Current returns the watermark, or the zero time before any event.
-func (w *WatermarkTracker) Current() time.Time {
-	if !w.seen {
-		return time.Time{}
-	}
-	return w.maxEvent.Add(-w.lateness)
-}
-
-// IsLate reports whether an event time is behind the watermark.
-func (w *WatermarkTracker) IsLate(t time.Time) bool {
-	return w.seen && t.Before(w.Current())
 }
