@@ -1,13 +1,14 @@
 # Tier-1 verification plus the race gate over the concurrency-sensitive
 # packages (the parallel epoch pipeline: core, aggregator, answer,
 # pubsub, engine, wal, plus the process-wide Student-t memo in stats and
-# its sampling callers), the hot-path allocs/op gate, the multi-query
+# its sampling callers, and the client Batcher the in-process worker
+# pool shares with its proxy sinks), the hot-path allocs/op gate, the multi-query
 # determinism gate, the kill-and-resume crash gate, the surge overload
 # gate, and the result-provenance lineage gate. `make ci` is the
 # pre-merge check.
 
 GO ?= go
-RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/... ./internal/stats/... ./internal/sampling/...
+RACE_PKGS = ./internal/core/... ./internal/aggregator/... ./internal/answer/... ./internal/pubsub/... ./internal/engine/... ./internal/wal/... ./internal/xorcrypt/... ./internal/chaos/... ./internal/telemetry/... ./internal/stats/... ./internal/sampling/... ./internal/client/... ./internal/proxy/...
 
 # Benchmarks whose numbers seed BENCH_hotpath.json: the per-answer hot
 # path (split, join+decrypt+decode+window, randomized response), plus
@@ -101,9 +102,11 @@ lineage:
 # telemetry package's own instrument primitives are pinned at 0 in
 # their in-package gate, re-run here. The fire path: a warm 11-bucket
 # window estimate at 1 alloc (its Buckets slice) and a warm Student-t
-# critical-value hit at 0.
+# critical-value hit at 0. The drain side: a steady-state consumer poll
+# into a reused buffer at exactly 1 alloc (the payload buffer) per
+# non-empty partition fetch.
 allocgate:
-	$(GO) test -run 'TestHotPathZeroAllocs|TestAggregatorSubmitSteadyStateAllocs|TestAggregatorMultiQuerySubmitAllocs|TestFig8SubmitZeroAllocs|TestAggregatorSubmitBatchZeroAllocs|TestFig8TelemetryZeroAllocs' -count=1 .
+	$(GO) test -run 'TestHotPathZeroAllocs|TestAggregatorSubmitSteadyStateAllocs|TestAggregatorMultiQuerySubmitAllocs|TestFig8SubmitZeroAllocs|TestAggregatorSubmitBatchZeroAllocs|TestFig8TelemetryZeroAllocs|TestConsumerPollAllocs' -count=1 .
 	$(GO) test -run 'TestInstrumentZeroAllocs' -count=1 ./internal/telemetry
 	$(GO) test -run 'TestEstimateWindowAllocs' -count=1 ./internal/aggregator
 	$(GO) test -run 'TestTCriticalHitZeroAllocs' -count=1 ./internal/stats

@@ -9,12 +9,14 @@ package privapprox
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
 	"privapprox/internal/aggregator"
 	"privapprox/internal/answer"
 	"privapprox/internal/budget"
+	"privapprox/internal/pubsub"
 	"privapprox/internal/rr"
 	"privapprox/internal/telemetry"
 	"privapprox/internal/workload"
@@ -496,5 +498,73 @@ func TestFig8TelemetryZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, submit); allocs != 0 {
 		t.Errorf("instrumented batch submit tail after scrape: %v allocs per batch, want 0", allocs)
+	}
+}
+
+// TestConsumerPollAllocs pins the drain side of the share plane: a
+// steady-state consumer poll into a reused record buffer, over an
+// in-process broker, allocates exactly once per non-empty partition
+// fetch — the buffer every fetched key and value is copied into — and
+// nothing per record.
+func TestConsumerPollAllocs(t *testing.T) {
+	const (
+		partitions = 4
+		batch      = 256
+		payload    = 38
+	)
+	b := pubsub.NewBroker()
+	defer b.Close()
+	if err := b.CreateTopic("answer", partitions); err != nil {
+		t.Fatal(err)
+	}
+	c, err := pubsub.NewConsumer(b, "gate", "answer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	cols := pubsub.Columns{
+		Count:  batch,
+		KeyLen: xorcrypt.MIDSize,
+		ValLen: payload,
+		Keys:   make([]byte, batch*xorcrypt.MIDSize),
+		Vals:   make([]byte, batch*payload),
+	}
+	var buf []pubsub.Record
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var fetches, allocs uint64
+	var before, after runtime.MemStats
+	for round := 0; round < 100; round++ {
+		rng.Read(cols.Keys)
+		rng.Read(cols.Vals)
+		if _, err := b.PublishColumns("answer", cols); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		buf, err = c.AppendPoll(buf[:0], 4*batch)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) != batch {
+			t.Fatalf("round %d: polled %d records, want %d", round, len(buf), batch)
+		}
+		if round < 2 {
+			continue // the first polls grow the reused buffer
+		}
+		seen := [partitions]bool{}
+		for _, r := range buf {
+			if !seen[r.Partition] {
+				seen[r.Partition] = true
+				fetches++
+			}
+		}
+		allocs += after.Mallocs - before.Mallocs
+	}
+	// Like testing.AllocsPerRun, the mean is truncated, so a stray
+	// runtime allocation during the window cannot fail the gate while a
+	// second allocation per fetch (or any per record) still does.
+	if per := allocs / fetches; per != 1 {
+		t.Errorf("steady-state poll: %d allocations over %d non-empty partition fetches (%d per fetch), want 1",
+			allocs, fetches, per)
 	}
 }

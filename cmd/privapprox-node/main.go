@@ -829,12 +829,14 @@ func runAggregator(args []string) error {
 
 	lastProgress := time.Now()
 	var shares []xorcrypt.Share
+	recBufs := make([][]pubsub.Record, len(consumers)) // one reused poll buffer per consumer
 	fmt.Printf("aggregator waiting for up to %d answers (idle timeout %v)\n", expected, *idle)
 	for agg.Decoded() < expected && time.Since(lastProgress) < *idle {
 		drainStamps()
 		progressed := false
 		for src, c := range consumers {
-			recs, err := c.PollWait(4096, 50*time.Millisecond)
+			recs, err := c.AppendPollWait(recBufs[src][:0], 4096, 50*time.Millisecond)
+			recBufs[src] = recs
 			if err != nil {
 				return err
 			}
@@ -959,12 +961,14 @@ func runAggregatorDurable(dataDir string, policy wal.Policy, agg *aggregator.Agg
 
 	lastProgress := time.Now()
 	var shares []xorcrypt.Share
+	recBufs := make([][]pubsub.Record, len(consumers)) // one reused poll buffer per consumer
 	fmt.Printf("aggregator waiting for up to %d answers (idle timeout %v)\n", expected, idle)
 	for agg.Decoded() < expected && time.Since(lastProgress) < idle {
 		drainStamps()
 		progressed := false
 		for src, c := range consumers {
-			recs, err := c.PollWait(pollMax, 50*time.Millisecond)
+			recs, err := c.AppendPollWait(recBufs[src][:0], pollMax, 50*time.Millisecond)
+			recBufs[src] = recs
 			if err != nil {
 				return err
 			}

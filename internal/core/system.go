@@ -124,18 +124,24 @@ type Config struct {
 
 // System is a fully wired in-process PrivApprox deployment.
 type System struct {
-	cfg       Config
-	params    budget.Params
-	signed    *query.Signed
-	pub       ed25519.PublicKey
-	priv      ed25519.PrivateKey
-	clients   []*client.Client
-	fleet     *proxy.Fleet
+	cfg     Config
+	params  budget.Params
+	signed  *query.Signed
+	pub     ed25519.PublicKey
+	priv    ed25519.PrivateKey
+	clients []*client.Client
+	fleet   *proxy.Fleet
+	// batchers hold one client.Batcher per proxy, shared by every
+	// client: shares reach the brokers as one columnar flush per proxy
+	// per epoch (flushShares), as they do from a node client process.
+	batchers  []*client.Batcher
 	agg       *aggregator.Aggregator
 	store     *histstore.Store
 	ctrl      *budget.Controller
 	epoch     uint64
 	consumers []*pubsub.Consumer
+	// recBufs is one reused poll buffer per consumer (same index).
+	recBufs [][]pubsub.Record
 
 	// Multi-query control plane (MultiQuery mode): the registry signs
 	// off on submissions and announces snapshots over the fleet's
@@ -321,10 +327,13 @@ func New(cfg Config) (*System, error) {
 	}
 	sys.agg = agg
 
-	// Fan share i to proxy i.
+	// Fan share i to proxy i through that proxy's batcher. Limit 0: the
+	// epoch driver flushes once all clients answered (flushShares).
 	sinks := make([]client.ShareSink, fleet.Size())
+	sys.batchers = make([]*client.Batcher, fleet.Size())
 	for i := range sinks {
-		sinks[i] = fleet.Proxy(i)
+		sys.batchers[i] = client.NewBatcher(fleet.Proxy(i), 0)
+		sinks[i] = sys.batchers[i]
 	}
 
 	for i := 0; i < cfg.Clients; i++ {
@@ -572,7 +581,7 @@ func (s *System) DrainUpTo(max int) ([]aggregator.Result, int, error) {
 	}
 	for drained < max {
 		any := false
-		for src, c := range s.consumers {
+		for src := range s.consumers {
 			room := max - drained
 			if room <= 0 {
 				break
@@ -580,7 +589,7 @@ func (s *System) DrainUpTo(max int) ([]aggregator.Result, int, error) {
 			if room > chunk {
 				room = chunk
 			}
-			recs, err := c.Poll(room)
+			recs, err := s.poll(src, room)
 			if err != nil {
 				return fired, drained, err
 			}
@@ -729,13 +738,36 @@ func (s *System) observeSLO(results []aggregator.Result) error {
 	return err
 }
 
-// answerAll fans AnswerOnce over the client population with a bounded
-// worker pool. Each client is answered exactly once per epoch; clients
-// never share mutable state (each owns its database, RNG, and
-// splitter), and the proxies' brokers are concurrency-safe, so the only
-// cross-worker effect is the interleaving of shares at the proxies —
-// which the sharded aggregator is insensitive to.
+// answerAll answers the epoch on every client, then flushes the
+// per-proxy batchers, so every share answered by the time it returns
+// sits at the proxies — visible to drains and checkpoints. A failed
+// flush fails the epoch, as a failed answer does.
 func (s *System) answerAll(epoch uint64) (int, error) {
+	participants, err := s.answerClients(epoch)
+	if ferr := s.flushShares(); err == nil {
+		err = ferr
+	}
+	return participants, err
+}
+
+// flushShares publishes everything the batchers hold: one columnar
+// publish per proxy (more only past the producer's frame cap).
+func (s *System) flushShares() error {
+	for _, b := range s.batchers {
+		if err := b.Flush(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// answerClients fans AnswerOnce over the client population with a
+// bounded worker pool. Each client is answered exactly once per epoch;
+// clients own their databases, RNGs and splitters, and share only the
+// concurrency-safe batchers, so the only cross-worker effect is the
+// order of shares within a batch — which the sharded aggregator is
+// insensitive to.
+func (s *System) answerClients(epoch uint64) (int, error) {
 	workers := s.cfg.Workers
 	if workers > len(s.clients) {
 		workers = len(s.clients)
@@ -858,7 +890,17 @@ func (s *System) ensureConsumers() error {
 		return err
 	}
 	s.consumers = cs
+	s.recBufs = make([][]pubsub.Record, len(cs))
 	return nil
+}
+
+// poll reads up to max records from consumer src into that consumer's
+// reused buffer. The headers are valid until the next poll of src; the
+// payloads they point at are the caller's to keep.
+func (s *System) poll(src, max int) ([]pubsub.Record, error) {
+	recs, err := s.consumers[src].AppendPoll(s.recBufs[src][:0], max)
+	s.recBufs[src] = recs
+	return recs, err
 }
 
 // drainSequential is the Workers == 1 path: one goroutine round-robins
@@ -867,8 +909,8 @@ func (s *System) drainSequential() ([]aggregator.Result, error) {
 	var fired []aggregator.Result
 	for {
 		any := false
-		for src, c := range s.consumers {
-			recs, err := c.Poll(4096)
+		for src := range s.consumers {
+			recs, err := s.poll(src, 4096)
 			if err != nil {
 				return fired, err
 			}
@@ -897,12 +939,12 @@ func (s *System) drainParallel() ([]aggregator.Result, error) {
 		latch errLatch
 		wg    sync.WaitGroup
 	)
-	for src, c := range s.consumers {
+	for src := range s.consumers {
 		wg.Add(1)
-		go func(src int, c *pubsub.Consumer) {
+		go func(src int) {
 			defer wg.Done()
 			for !latch.failed() {
-				recs, err := c.Poll(4096)
+				recs, err := s.poll(src, 4096)
 				if err != nil {
 					latch.fail(err)
 					return
@@ -921,7 +963,7 @@ func (s *System) drainParallel() ([]aggregator.Result, error) {
 					return
 				}
 			}
-		}(src, c)
+		}(src)
 	}
 	wg.Wait()
 	return fired, latch.err()
@@ -935,8 +977,10 @@ var sharePool = sync.Pool{New: func() any { return new([]xorcrypt.Share) }}
 // it to the aggregator in a single batch submission. On a decode error
 // at record k the k records already decoded are still submitted before
 // the error returns — the same partial progress as decoding and
-// submitting one record at a time. Records are deep copies handed over
-// by Poll, so payload ownership transfers cleanly to the join state.
+// submitting one record at a time. The record headers belong to the
+// reused poll buffer, but each fetch copied the payloads into a fresh
+// buffer of its own, so payload ownership transfers cleanly to the join
+// state.
 func (s *System) submitRecords(recs []pubsub.Record, src int, now time.Time) ([]aggregator.Result, error) {
 	if len(recs) == 0 {
 		return nil, nil
@@ -971,13 +1015,16 @@ func (s *System) AdvanceTo(epoch uint64) ([]aggregator.Result, error) {
 	return s.agg.AdvanceTo(t)
 }
 
-// Flush drains anything still sitting at the proxies and closes all
-// open windows (end of run). Windows fired by the final drain are
-// returned together with the flushed ones, merged in window-start
-// order — earlier versions discarded the drain's results, silently
-// dropping any window the last batch of shares pushed past the
-// watermark.
+// Flush publishes any shares still buffered in the batchers, drains
+// everything sitting at the proxies, and closes all open windows (end
+// of run). Windows fired by the final drain are returned together with
+// the flushed ones, merged in window-start order — earlier versions
+// discarded the drain's results, silently dropping any window the last
+// batch of shares pushed past the watermark.
 func (s *System) Flush() ([]aggregator.Result, error) {
+	if err := s.flushShares(); err != nil {
+		return nil, err
+	}
 	drained, err := s.drain()
 	if err != nil {
 		return nil, err

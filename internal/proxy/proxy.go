@@ -199,7 +199,7 @@ func (p *Proxy) SetCapacity(capacity int) error {
 // PrivApprox proxy is exactly one publish — no noise addition, no
 // inter-proxy coordination (the property Fig. 6 measures). The payload
 // is copied (broker) or serialized (TCP) before Submit returns, per the
-// ShareSink ownership contract.
+// client.ShareSink ownership contract.
 func (p *Proxy) Submit(share xorcrypt.Share) error {
 	mid := share.MID
 	if p.submitTimeout > 0 {
@@ -431,22 +431,6 @@ func (f *Fleet) Size() int { return len(f.proxies) }
 
 // Proxy returns proxy i.
 func (f *Fleet) Proxy(i int) *Proxy { return f.proxies[i] }
-
-// Sinks adapts the fleet to the client's ShareSink slice (share i goes
-// to proxy i).
-func (f *Fleet) Sinks() []ShareSink {
-	out := make([]ShareSink, len(f.proxies))
-	for i, p := range f.proxies {
-		out[i] = p
-	}
-	return out
-}
-
-// ShareSink mirrors client.ShareSink without importing it (both packages
-// stay independent; the core package wires them).
-type ShareSink interface {
-	Submit(share xorcrypt.Share) error
-}
 
 // Consumers returns one aggregator consumer per proxy.
 func (f *Fleet) Consumers(group string) ([]*pubsub.Consumer, error) {

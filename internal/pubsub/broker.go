@@ -8,8 +8,6 @@ package pubsub
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,10 +73,28 @@ type Stats struct {
 	MaxBacklog int64
 }
 
+// logChunk is the number of entries in one full chunk of a partition
+// log. A partition's records live in fixed-size chunks so the log grows
+// without ever re-copying what it already holds: only the first chunk
+// grows by doubling (small logs stay small); every later chunk is
+// allocated at full size, and a full chunk is never copied again.
+const logChunk = 4096
+
+// entry is one stored record in compact form: topic, partition and
+// offset follow from the entry's position, and the timestamp is kept
+// as wall-clock Unix nanoseconds (Fetch rebuilds a time.Time from it,
+// as the TCP client does from the wire).
+type entry struct {
+	key, value []byte
+	ns         int64
+}
+
 type partitionLog struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	records []Record
+	mu   sync.Mutex
+	cond *sync.Cond
+	// chunks hold the log: every chunk but the last has exactly
+	// logChunk entries. Touched only through end, append and at.
+	chunks [][]entry
 	// capacity, when > 0, bounds the partition's unconsumed backlog:
 	// a publish that would leave more than capacity records past the
 	// slowest committed consumer offset fails with ErrPartitionFull.
@@ -112,6 +128,42 @@ func newPartitionLog() *partitionLog {
 	p := &partitionLog{}
 	p.cond = sync.NewCond(&p.mu)
 	return p
+}
+
+// end returns the next offset to be written. Caller holds p.mu.
+func (p *partitionLog) end() int64 {
+	n := len(p.chunks)
+	if n == 0 {
+		return 0
+	}
+	return int64(n-1)*logChunk + int64(len(p.chunks[n-1]))
+}
+
+// append adds one entry at offset end(). Caller holds p.mu.
+func (p *partitionLog) append(e entry) {
+	n := len(p.chunks)
+	if n == 0 || len(p.chunks[n-1]) == logChunk {
+		size := logChunk
+		if n == 0 {
+			size = 16
+		}
+		p.chunks = append(p.chunks, make([]entry, 0, size))
+		n++
+	}
+	c := p.chunks[n-1]
+	if len(c) == cap(c) {
+		// Only the first chunk starts short; it doubles up to logChunk.
+		grown := make([]entry, len(c), min(2*cap(c), logChunk))
+		copy(grown, c)
+		c = grown
+	}
+	p.chunks[n-1] = append(c, e)
+}
+
+// at returns the entry at offset off, which must be below end(). Caller
+// holds p.mu.
+func (p *partitionLog) at(off int64) *entry {
+	return &p.chunks[off/logChunk][off%logChunk]
 }
 
 type topicLog struct {
@@ -269,7 +321,7 @@ func (b *Broker) committedFloor(topic string, partition int) int64 {
 // which is safe because commits only advance — a stale floor can only
 // make the check more conservative.
 func (p *partitionLog) overCapacity(n int, floor int64) bool {
-	return p.capacity > 0 && int64(len(p.records))+int64(n)-floor > int64(p.capacity)
+	return p.capacity > 0 && p.end()+int64(n)-floor > int64(p.capacity)
 }
 
 // Publish appends a record. A non-nil key selects the partition by hash
@@ -294,12 +346,7 @@ func (b *Broker) Publish(topic string, key, value []byte) (int, int64, error) {
 	}
 	var part int
 	if key != nil {
-		h := fnv.New32a()
-		h.Write(key)
-		part = int(h.Sum32()) % len(t.partitions)
-		if part < 0 {
-			part += len(t.partitions)
-		}
+		part = partitionFor(key, len(t.partitions))
 	} else {
 		b.statsMu.Lock()
 		part = int(b.rr % uint64(len(t.partitions)))
@@ -317,7 +364,7 @@ func (b *Broker) Publish(topic string, key, value []byte) (int, int64, error) {
 		b.statsMu.Unlock()
 		return 0, 0, fmt.Errorf("%w: topic %q partition %d at capacity %d", ErrPartitionFull, topic, part, capacity)
 	}
-	offset := int64(len(p.records))
+	offset := p.end()
 	now := time.Now()
 	if p.w != nil {
 		// Durability before visibility: the record reaches the WAL (per
@@ -329,15 +376,11 @@ func (b *Broker) Publish(topic string, key, value []byte) (int, int64, error) {
 			return 0, 0, err
 		}
 	}
-	rec := Record{
-		Topic:     topic,
-		Partition: part,
-		Offset:    offset,
-		Key:       append([]byte(nil), key...),
-		Value:     append([]byte(nil), value...),
-		Timestamp: now,
-	}
-	p.records = append(p.records, rec)
+	p.append(entry{
+		key:   append([]byte(nil), key...),
+		value: append([]byte(nil), value...),
+		ns:    now.UnixNano(),
+	})
 	p.cond.Broadcast()
 	p.mu.Unlock()
 
@@ -434,6 +477,67 @@ func fillDupResults(results []PubResult, idxs []int, slot producerSlot, seq uint
 	}
 }
 
+// partitionFor routes a keyed record: FNV-1a of the key modulo the
+// partition count, so records with equal keys stay ordered.
+func partitionFor(key []byte, partitions int) int {
+	part := int(fnv1a32(key)) % partitions
+	if part < 0 {
+		part += partitions
+	}
+	return part
+}
+
+// partIndex is a batch's record indexes grouped by target partition,
+// built by a counting pass over the topic's partition count rather than
+// a map: partition p's indexes, in input order, are idx[bound[p]:
+// bound[p+1]], and parts lists the partitions that received records in
+// ascending order — the lock order of the two-phase apply.
+type partIndex struct {
+	idx, bound, parts []int
+}
+
+func (x partIndex) of(part int) []int { return x.idx[x.bound[part]:x.bound[part+1]] }
+
+// groupByPartition builds the partIndex of a routed batch; every
+// results[i].Partition must be set. One allocation backs all three
+// slices.
+func groupByPartition(results []PubResult, partitions int) partIndex {
+	n := len(results)
+	buf := make([]int, n+2*partitions+2)
+	idx, bound, parts := buf[:n], buf[n:n+partitions+2], buf[n+partitions+2:n+partitions+2]
+	for _, r := range results {
+		bound[r.Partition+2]++
+	}
+	for p := 2; p < len(bound); p++ {
+		bound[p] += bound[p-1]
+	}
+	// bound[p+1] now holds partition p's first slot; filling through it
+	// leaves it at p's end, which is p+1's first slot.
+	for i, r := range results {
+		idx[bound[r.Partition+1]] = i
+		bound[r.Partition+1]++
+	}
+	bound = bound[:partitions+1]
+	for p := 0; p < partitions; p++ {
+		if bound[p] < bound[p+1] {
+			parts = append(parts, p)
+		}
+	}
+	return partIndex{idx: idx, bound: bound, parts: parts}
+}
+
+// carve copies b into the spare capacity of *arena and returns the copy
+// as a full-slice-capped view, so neighbouring views can never be
+// appended into. Empty input stays nil. Sized arenas never reallocate.
+func carve(arena *[]byte, b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	start := len(*arena)
+	*arena = append(*arena, b...)
+	return (*arena)[start:len(*arena):len(*arena)]
+}
+
 func (b *Broker) publishRows(topic string, msgs []Message, pid, seq uint64) ([]PubResult, error) {
 	if len(msgs) == 0 {
 		return nil, nil
@@ -456,45 +560,35 @@ func (b *Broker) publishRows(topic string, msgs []Message, pid, seq uint64) ([]P
 
 	// Route every message to its partition.
 	results := make([]PubResult, len(msgs))
-	byPart := make(map[int][]int) // partition → indexes into msgs
-	var keyless []int
+	keyless := 0
 	var bytesIn int64
 	for i, m := range msgs {
 		bytesIn += int64(len(m.Key) + len(m.Value))
 		if m.Key != nil {
-			h := fnv.New32a()
-			h.Write(m.Key)
-			part := int(h.Sum32()) % len(t.partitions)
-			if part < 0 {
-				part += len(t.partitions)
-			}
-			results[i].Partition = part
-			byPart[part] = append(byPart[part], i)
+			results[i].Partition = partitionFor(m.Key, len(t.partitions))
 		} else {
-			keyless = append(keyless, i)
+			keyless++
 		}
 	}
-	if len(keyless) > 0 {
+	if keyless > 0 {
 		b.statsMu.Lock()
 		rr := b.rr
-		b.rr += uint64(len(keyless))
+		b.rr += uint64(keyless)
 		b.statsMu.Unlock()
-		for j, i := range keyless {
-			part := int((rr + uint64(j)) % uint64(len(t.partitions)))
-			results[i].Partition = part
-			byPart[part] = append(byPart[part], i)
+		for i := range msgs {
+			if msgs[i].Key == nil {
+				results[i].Partition = int(rr % uint64(len(t.partitions)))
+				rr++
+			}
 		}
 	}
+	byPart := groupByPartition(results, len(t.partitions))
 
 	// Two-phase apply: lock every target partition (in ascending order,
 	// so concurrent batches cannot deadlock), check all capacities, then
 	// journal and append. No partition's memory log is touched until the
 	// whole batch is known to fit and is journaled.
-	parts := make([]int, 0, len(byPart))
-	for part := range byPart {
-		parts = append(parts, part)
-	}
-	sort.Ints(parts)
+	parts := byPart.parts
 	floors := make([]int64, len(parts))
 	for i, part := range parts {
 		floors[i] = b.committedFloor(topic, part)
@@ -519,7 +613,7 @@ func (b *Broker) publishRows(topic string, msgs []Message, pid, seq uint64) ([]P
 			continue
 		}
 		p := t.partitions[part]
-		if p.overCapacity(len(byPart[part]), floors[i]) {
+		if p.overCapacity(len(byPart.of(part)), floors[i]) {
 			capacity := p.capacity
 			unlockAll()
 			b.statsMu.Lock()
@@ -535,16 +629,18 @@ func (b *Broker) publishRows(topic string, msgs []Message, pid, seq uint64) ([]P
 		}
 		p := t.partitions[part]
 		if p.w != nil {
-			if err := journalBatch(p, now, msgs, byPart[part], pid, seq); err != nil {
+			if err := journalBatch(p, now, msgs, byPart.of(part), pid, seq); err != nil {
 				unlockAll()
 				return nil, err
 			}
 		}
 	}
+	// One arena holds every stored key and value of the batch.
+	arena := make([]byte, 0, bytesIn)
 	var duplicates int64
 	for _, part := range parts {
 		p := t.partitions[part]
-		idxs := byPart[part]
+		idxs := byPart.of(part)
 		if slot, isDup := dup[part]; isDup {
 			fillDupResults(results, idxs, slot, seq)
 			duplicates += int64(len(idxs))
@@ -553,17 +649,13 @@ func (b *Broker) publishRows(topic string, msgs []Message, pid, seq uint64) ([]P
 			}
 			continue
 		}
-		first := int64(len(p.records))
+		first := p.end()
 		for _, i := range idxs {
-			offset := int64(len(p.records))
-			results[i].Offset = offset
-			p.records = append(p.records, Record{
-				Topic:     topic,
-				Partition: part,
-				Offset:    offset,
-				Key:       append([]byte(nil), msgs[i].Key...),
-				Value:     append([]byte(nil), msgs[i].Value...),
-				Timestamp: now,
+			results[i].Offset = p.end()
+			p.append(entry{
+				key:   carve(&arena, msgs[i].Key),
+				value: carve(&arena, msgs[i].Value),
+				ns:    now.UnixNano(),
 			})
 		}
 		p.recordSlice(pid, seq, first, len(idxs))
@@ -642,74 +734,87 @@ func publishBatchWait(t Transport, topic string, msgs []Message, timeout time.Du
 }
 
 // Fetch returns up to max records from a partition starting at offset.
-// It never blocks; an offset at the log end returns an empty slice.
+// It never blocks; an offset at the log end returns an empty slice. The
+// records are deep copies: every key and value of one call is copied
+// into one fresh arena, each record holding a full-slice-capped view of
+// it, so callers own (and may mutate) what they get without touching
+// the log.
 func (b *Broker) Fetch(topic string, partition int, offset int64, max int) ([]Record, error) {
-	p, err := b.partition(topic, partition)
-	if err != nil {
-		return nil, err
-	}
-	if offset < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadOffset, offset)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if offset > int64(len(p.records)) {
-		return nil, fmt.Errorf("%w: %d beyond end %d", ErrBadOffset, offset, len(p.records))
-	}
-	end := offset + int64(max)
-	if end > int64(len(p.records)) {
-		end = int64(len(p.records))
-	}
-	out := make([]Record, end-offset)
-	copy(out, p.records[offset:end])
-	// Deep-copy payloads so callers cannot mutate the log.
-	for i := range out {
-		out[i].Key = append([]byte(nil), out[i].Key...)
-		out[i].Value = append([]byte(nil), out[i].Value...)
-	}
-
-	b.statsMu.Lock()
-	b.stats.MessagesOut += int64(len(out))
-	for _, r := range out {
-		b.stats.BytesOut += int64(len(r.Key) + len(r.Value))
-	}
-	b.statsMu.Unlock()
-	return out, nil
+	return b.FetchWait(nil, topic, partition, offset, max, 0)
 }
 
 // WaitFetch is Fetch that blocks until at least one record is available
 // or the deadline passes (returning an empty slice on timeout).
 func (b *Broker) WaitFetch(topic string, partition int, offset int64, max int, timeout time.Duration) ([]Record, error) {
-	p, err := b.partition(topic, partition)
-	if err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(timeout)
-	p.mu.Lock()
-	for int64(len(p.records)) <= offset {
-		if b.isClosed() {
-			p.mu.Unlock()
-			return nil, ErrClosed
-		}
-		if !time.Now().Before(deadline) {
-			p.mu.Unlock()
-			return nil, nil
-		}
-		// Wake periodically to observe the deadline; Broadcast on
-		// publish wakes us immediately in the common case.
-		waitWithTimeout(p.cond, 5*time.Millisecond)
-	}
-	p.mu.Unlock()
-	return b.Fetch(topic, partition, offset, max)
+	return b.FetchWait(nil, topic, partition, offset, max, timeout)
 }
 
-// FetchWait unifies Fetch and WaitFetch behind the Transport interface:
-// wait <= 0 is a non-blocking Fetch, wait > 0 blocks like WaitFetch.
-func (b *Broker) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error) {
-	if wait > 0 {
-		return b.WaitFetch(topic, partition, offset, max, wait)
+// FetchWait unifies Fetch and WaitFetch behind the Transport interface,
+// appending the records to dst: wait <= 0 is a non-blocking Fetch,
+// wait > 0 blocks like WaitFetch. On timeout or error dst comes back
+// unchanged.
+func (b *Broker) FetchWait(dst []Record, topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error) {
+	p, err := b.partition(topic, partition)
+	if err != nil {
+		return dst, err
 	}
-	return b.Fetch(topic, partition, offset, max)
+	if offset < 0 {
+		return dst, fmt.Errorf("%w: %d", ErrBadOffset, offset)
+	}
+	p.mu.Lock()
+	if wait > 0 {
+		deadline := time.Now().Add(wait)
+		for p.end() <= offset {
+			if b.isClosed() {
+				p.mu.Unlock()
+				return dst, ErrClosed
+			}
+			if !time.Now().Before(deadline) {
+				p.mu.Unlock()
+				return dst, nil
+			}
+			// Wake periodically to observe the deadline; Broadcast on
+			// publish wakes us immediately in the common case.
+			waitWithTimeout(p.cond, 5*time.Millisecond)
+		}
+	}
+	end := p.end()
+	if offset > end {
+		p.mu.Unlock()
+		return dst, fmt.Errorf("%w: %d beyond end %d", ErrBadOffset, offset, end)
+	}
+	if n := int64(max); n < end-offset {
+		end = offset + n
+	}
+	size := 0
+	for off := offset; off < end; off++ {
+		e := p.at(off)
+		size += len(e.key) + len(e.value)
+	}
+	var arena []byte
+	if size > 0 {
+		arena = make([]byte, 0, size)
+	}
+	for off := offset; off < end; off++ {
+		e := p.at(off)
+		dst = append(dst, Record{
+			Topic:     topic,
+			Partition: partition,
+			Offset:    off,
+			Key:       carve(&arena, e.key),
+			Value:     carve(&arena, e.value),
+			Timestamp: time.Unix(0, e.ns),
+		})
+	}
+	p.mu.Unlock()
+
+	if end > offset {
+		b.statsMu.Lock()
+		b.stats.MessagesOut += end - offset
+		b.stats.BytesOut += int64(size)
+		b.statsMu.Unlock()
+	}
+	return dst, nil
 }
 
 // waitWithTimeout waits on cond for at most d. The caller must hold the
@@ -728,7 +833,7 @@ func (b *Broker) EndOffset(topic string, partition int) (int64, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return int64(len(p.records)), nil
+	return p.end(), nil
 }
 
 // CommitOffset durably records a consumer group's next-to-read offset.
@@ -799,7 +904,7 @@ func (b *Broker) Stats() Stats {
 	for _, t := range topics {
 		for i, p := range t.partitions {
 			p.mu.Lock()
-			end := int64(len(p.records))
+			end := p.end()
 			p.mu.Unlock()
 			backlog := end - b.committedFloor(t.name, i)
 			s.TotalBacklog += backlog
@@ -823,7 +928,7 @@ func (b *Broker) Backlog(topic string) (int64, error) {
 	var total int64
 	for i, p := range t.partitions {
 		p.mu.Lock()
-		end := int64(len(p.records))
+		end := p.end()
 		p.mu.Unlock()
 		total += end - b.committedFloor(t.name, i)
 	}

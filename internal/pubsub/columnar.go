@@ -3,7 +3,6 @@ package pubsub
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -73,24 +72,15 @@ func (b *Broker) publishCols(topic string, cols Columns, pid, seq uint64) ([]Pub
 	}
 
 	results := make([]PubResult, cols.Count)
-	byPart := make(map[int][]int) // partition → record indexes
-	for i := 0; i < cols.Count; i++ {
-		part := int(fnv1a32(cols.Key(i))) % len(t.partitions)
-		if part < 0 {
-			part += len(t.partitions)
-		}
-		results[i].Partition = part
-		byPart[part] = append(byPart[part], i)
+	for i := range results {
+		results[i].Partition = partitionFor(cols.Key(i), len(t.partitions))
 	}
+	byPart := groupByPartition(results, len(t.partitions))
 
 	// Two-phase apply, exactly as PublishBatch: lock every target
 	// partition in ascending order, check all capacities, journal, then
 	// append.
-	parts := make([]int, 0, len(byPart))
-	for part := range byPart {
-		parts = append(parts, part)
-	}
-	sort.Ints(parts)
+	parts := byPart.parts
 	floors := make([]int64, len(parts))
 	for i, part := range parts {
 		floors[i] = b.committedFloor(topic, part)
@@ -114,7 +104,7 @@ func (b *Broker) publishCols(topic string, cols Columns, pid, seq uint64) ([]Pub
 			continue
 		}
 		p := t.partitions[part]
-		if p.overCapacity(len(byPart[part]), floors[i]) {
+		if p.overCapacity(len(byPart.of(part)), floors[i]) {
 			capacity := p.capacity
 			unlockAll()
 			b.statsMu.Lock()
@@ -130,7 +120,7 @@ func (b *Broker) publishCols(topic string, cols Columns, pid, seq uint64) ([]Pub
 		}
 		p := t.partitions[part]
 		if p.w != nil {
-			if err := journalColumns(p, now, cols, byPart[part], pid, seq); err != nil {
+			if err := journalColumns(p, now, cols, byPart.of(part), pid, seq); err != nil {
 				unlockAll()
 				return nil, err
 			}
@@ -144,23 +134,19 @@ func (b *Broker) publishCols(topic string, cols Columns, pid, seq uint64) ([]Pub
 	var duplicates int64
 	for _, part := range parts {
 		p := t.partitions[part]
-		idxs := byPart[part]
+		idxs := byPart.of(part)
 		if slot, isDup := dup[part]; isDup {
 			fillDupResults(results, idxs, slot, seq)
 			duplicates += int64(len(idxs))
 			continue
 		}
-		first := int64(len(p.records))
+		first := p.end()
 		for _, i := range idxs {
-			offset := int64(len(p.records))
-			results[i].Offset = offset
-			p.records = append(p.records, Record{
-				Topic:     topic,
-				Partition: part,
-				Offset:    offset,
-				Key:       keys[i*cols.KeyLen : (i+1)*cols.KeyLen : (i+1)*cols.KeyLen],
-				Value:     vals[i*cols.ValLen : (i+1)*cols.ValLen : (i+1)*cols.ValLen],
-				Timestamp: now,
+			results[i].Offset = p.end()
+			p.append(entry{
+				key:   keys[i*cols.KeyLen : (i+1)*cols.KeyLen : (i+1)*cols.KeyLen],
+				value: vals[i*cols.ValLen : (i+1)*cols.ValLen : (i+1)*cols.ValLen],
+				ns:    now.UnixNano(),
 			})
 		}
 		p.recordSlice(pid, seq, first, len(idxs))

@@ -16,6 +16,9 @@ type Consumer struct {
 	t         Transport
 	group     string
 	positions map[string]map[int]int64 // topic → partition → next offset
+	// order is every subscribed (topic, partition) in poll order:
+	// topics sorted, partitions ascending. Fixed at construction.
+	order []topicPart
 	// closed, when non-nil, reports that the backing broker shut down;
 	// PollWait uses it to stop instead of spinning until its deadline.
 	closed func() bool
@@ -57,34 +60,52 @@ func NewTransportConsumer(t Transport, group string, topics ...string) (*Consume
 		}
 		c.positions[topic] = pos
 	}
+	for _, topic := range c.sortedTopics() {
+		for _, p := range sortedPartitions(c.positions[topic]) {
+			c.order = append(c.order, topicPart{topic, p})
+		}
+	}
 	return c, nil
+}
+
+type topicPart struct {
+	topic string
+	part  int
 }
 
 // Poll returns up to max records across all subscribed partitions,
 // advancing in-memory positions. It returns immediately with whatever is
 // available; an empty slice means the consumer is caught up.
-func (c *Consumer) Poll(max int) ([]Record, error) {
+func (c *Consumer) Poll(max int) ([]Record, error) { return c.AppendPoll(nil, max) }
+
+// AppendPoll is Poll appending into dst: a drain loop that passes the
+// same buffer back every time (dst[:0]) reuses its record headers, so
+// a steady-state poll allocates only each non-empty fetch's payload
+// buffer. The appended records own their keys and values. On error the
+// records fetched before the failure stay appended, their positions
+// advanced.
+func (c *Consumer) AppendPoll(dst []Record, max int) ([]Record, error) {
 	if max <= 0 {
-		return nil, fmt.Errorf("pubsub: non-positive poll size %d", max)
+		return dst, fmt.Errorf("pubsub: non-positive poll size %d", max)
 	}
-	var out []Record
-	for _, topic := range c.sortedTopics() {
-		pos := c.positions[topic]
-		for _, p := range sortedPartitions(pos) {
-			if len(out) >= max {
-				return out, nil
-			}
-			recs, err := c.t.FetchWait(topic, p, pos[p], max-len(out), 0)
-			if err != nil {
-				return nil, err
-			}
-			if len(recs) > 0 {
-				pos[p] = recs[len(recs)-1].Offset + 1
-				out = append(out, recs...)
-			}
+	base := len(dst)
+	for _, tp := range c.order {
+		room := max - (len(dst) - base)
+		if room <= 0 {
+			break
+		}
+		pos := c.positions[tp.topic]
+		n := len(dst)
+		var err error
+		dst, err = c.t.FetchWait(dst, tp.topic, tp.part, pos[tp.part], room, 0)
+		if len(dst) > n {
+			pos[tp.part] = dst[len(dst)-1].Offset + 1
+		}
+		if err != nil {
+			return dst, err
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // PollWait is Poll that blocks up to timeout for the first record.
@@ -94,33 +115,40 @@ func (c *Consumer) Poll(max int) ([]Record, error) {
 // partition per spin (a record arriving on another partition is picked
 // up by the re-sweep after at most one slice).
 func (c *Consumer) PollWait(max int, timeout time.Duration) ([]Record, error) {
+	return c.AppendPollWait(nil, max, timeout)
+}
+
+// AppendPollWait is PollWait appending into dst, with AppendPoll's
+// buffer-reuse contract.
+func (c *Consumer) AppendPollWait(dst []Record, max int, timeout time.Duration) ([]Record, error) {
 	const slice = 20 * time.Millisecond
 	deadline := time.Now().Add(timeout)
+	base := len(dst)
 	for {
-		recs, err := c.Poll(max)
-		if err != nil || len(recs) > 0 {
-			return recs, err
+		var err error
+		dst, err = c.AppendPoll(dst, max)
+		if err != nil || len(dst) > base {
+			return dst, err
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			return nil, nil
+			return dst, nil
 		}
 		if c.closed != nil && c.closed() {
-			return nil, ErrClosed
+			return dst, ErrClosed
 		}
 		if remain > slice {
 			remain = slice
 		}
-		topic := c.sortedTopics()[0]
-		pos := c.positions[topic]
-		p := sortedPartitions(pos)[0]
-		recs, err = c.t.FetchWait(topic, p, pos[p], max, remain)
+		tp := c.order[0]
+		pos := c.positions[tp.topic]
+		dst, err = c.t.FetchWait(dst, tp.topic, tp.part, pos[tp.part], max, remain)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		if len(recs) > 0 {
-			pos[p] = recs[len(recs)-1].Offset + 1
-			return recs, nil
+		if len(dst) > base {
+			pos[tp.part] = dst[len(dst)-1].Offset + 1
+			return dst, nil
 		}
 	}
 }

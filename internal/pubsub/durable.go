@@ -143,10 +143,10 @@ func (b *Broker) restoreTopic(name string, partitions int) error {
 			if err != nil {
 				return err
 			}
-			if int64(lsn) != int64(len(p.records)) {
-				return fmt.Errorf("%w: %s/%d: lsn %d for offset %d", ErrDurable, name, i, lsn, len(p.records))
+			offset := p.end()
+			if int64(lsn) != offset {
+				return fmt.Errorf("%w: %s/%d: lsn %d for offset %d", ErrDurable, name, i, lsn, offset)
 			}
-			offset := int64(len(p.records))
 			if pid != 0 {
 				// Rebuild the session-dedup slot from the record's own tag:
 				// a slice's records replay contiguously, so same-(pid, seq)
@@ -158,14 +158,7 @@ func (b *Broker) restoreTopic(name string, partitions int) error {
 					p.recordSlice(pid, seq, offset, 1)
 				}
 			}
-			p.records = append(p.records, Record{
-				Topic:     name,
-				Partition: i,
-				Offset:    offset,
-				Key:       key,
-				Value:     value,
-				Timestamp: ts,
-			})
+			p.append(entry{key: key, value: value, ns: ts.UnixNano()})
 			return nil
 		})
 		if err != nil {
@@ -284,10 +277,16 @@ func decodePartitionRecord(payload []byte) (ts time.Time, key, value []byte, pid
 	if uint32(len(rest)) < klen {
 		return time.Time{}, nil, nil, 0, 0, fmt.Errorf("%w: key length %d beyond record", ErrDurable, klen)
 	}
-	if klen > 0 {
-		key = append([]byte(nil), rest[:klen]...)
+	// One copy backs both: the replayed payload buffer is the WAL's.
+	if len(rest) > 0 {
+		buf := append([]byte(nil), rest...)
+		if klen > 0 {
+			key = buf[:klen:klen]
+		}
+		if len(buf) > int(klen) {
+			value = buf[klen:]
+		}
 	}
-	value = append([]byte(nil), rest[klen:]...)
 	return ts, key, value, pid, seq, nil
 }
 

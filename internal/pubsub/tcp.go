@@ -952,6 +952,14 @@ func waitToMillis(d time.Duration) uint32 {
 // Fetch mirrors Broker.Fetch; wait > 0 turns it into WaitFetch with
 // that timeout.
 func (c *Client) Fetch(topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error) {
+	return c.FetchWait(nil, topic, partition, offset, max, wait)
+}
+
+// FetchWait is Fetch appending into dst. The records decode straight
+// from the response frame: their keys and values are views into it, so
+// the frame — read fresh for every response — is the one buffer the
+// call allocates for payloads. On error dst comes back unchanged.
+func (c *Client) FetchWait(dst []Record, topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error) {
 	var e enc
 	e.byte(opFetch)
 	e.str(topic)
@@ -961,33 +969,33 @@ func (c *Client) Fetch(topic string, partition int, offset int64, max int, wait 
 	e.uint32(waitToMillis(wait))
 	d, err := c.roundTrip(e.buf)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	n, err := d.uint32()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]Record, 0, n)
+	out := dst
 	for i := uint32(0); i < n; i++ {
 		part, err := d.uint32()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		off, err := d.uint64()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		ts, err := d.uint64()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		key, err := d.bytes()
+		key, err := d.view()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		val, err := d.bytes()
+		val, err := d.view()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		out = append(out, Record{
 			Topic:     topic,
@@ -999,11 +1007,6 @@ func (c *Client) Fetch(topic string, partition int, offset int64, max int, wait 
 		})
 	}
 	return out, nil
-}
-
-// FetchWait aliases Fetch to satisfy the Transport interface.
-func (c *Client) FetchWait(topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error) {
-	return c.Fetch(topic, partition, offset, max, wait)
 }
 
 // EndOffset mirrors Broker.EndOffset.

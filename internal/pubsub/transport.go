@@ -56,10 +56,12 @@ type Transport interface {
 	PublishBatchSession(topic string, msgs []Message, pid, seq uint64) ([]PubResult, error)
 	PublishColumnsSession(topic string, cols Columns, pid, seq uint64) ([]PubResult, error)
 	// FetchWait reads up to max records from a partition starting at
-	// offset. wait <= 0 returns immediately with whatever is available;
-	// wait > 0 blocks until at least one record arrives or the wait
-	// elapses (returning an empty slice on timeout).
-	FetchWait(topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error)
+	// offset and appends them to dst. wait <= 0 returns immediately with
+	// whatever is available; wait > 0 blocks until at least one record
+	// arrives or the wait elapses (returning dst unchanged on timeout).
+	// The appended records own their keys and values, which live in one
+	// buffer per call; the headers in dst are the caller's to reuse.
+	FetchWait(dst []Record, topic string, partition int, offset int64, max int, wait time.Duration) ([]Record, error)
 	// EndOffset returns the next offset to be written in a partition.
 	EndOffset(topic string, partition int) (int64, error)
 	// CommitOffset durably records a consumer group's next-read offset.
